@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .morphisms import Morphism
+from .unstackable import border_offenders
 from .words import (
     Occurrence,
     PatternKind,
@@ -252,7 +253,7 @@ def explain(m: Morphism, cex: Counterexample) -> str:
     if p % n == 0:
         lines.extend(_explain_aligned(m, word, image, occ, n))
     elif tile_span <= 3:
-        lines.extend(_explain_short(m, word, occ, n, first_tile, last_tile))
+        lines.extend(_explain_short(word, occ, first_tile, last_tile))
     else:
         lines.extend(_explain_border(m, word, image, occ, n))
     return "\n".join(lines)
@@ -315,9 +316,7 @@ def _explain_aligned(
     return lines
 
 
-def _explain_short(
-    m: Morphism, word: Word, occ: Occurrence, n: int, first_tile: int, last_tile: int
-) -> list[str]:
+def _explain_short(word: Word, occ: Occurrence, first_tile: int, last_tile: int) -> list[str]:
     factor = word[first_tile:last_tile + 1]
     return [
         f"  the occurrence fits inside the image of the word factor"
@@ -382,12 +381,11 @@ def _explain_border(
             f"  shared border V={border.text} ({how}): image({a!r}) = S·V with"
             f" S={stem.text}, image({b!r}) = V·U with U={tail.text}"
         )
-        hits = []
-        for c_i, c in enumerate(m.source.letters):
-            if m.images[c_i].symbols[lv:] == stem.symbols:
-                hits.append(f"S is a suffix of image({c!r})")
-            if m.images[c_i].symbols[:n - lv] == tail.symbols:
-                hits.append(f"U is a prefix of image({c!r})")
+        hits = [
+            f"S is a suffix of image({c!r})" if side == "stem-suffix"
+            else f"U is a prefix of image({c!r})"
+            for side, c in border_offenders(m, stem, tail)
+        ]
         if hits:
             lines.append("    border condition violated: " + "; ".join(hits))
         else:

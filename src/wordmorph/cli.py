@@ -29,7 +29,7 @@ from .unstackable import (
     check_square_def,
     pattern_free_triples,
 )
-from .words import Alphabet, ParseError, PatternKind, Word, find_pattern, parse_word
+from .words import Alphabet, Occurrence, ParseError, PatternKind, Word, find_pattern, parse_word
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,7 +39,11 @@ _WITNESS_PRINT_CAP = 8
 
 
 def load_morphism(ref: str) -> Morphism:
-    """Resolve a morphism reference: file path first, then catalog name."""
+    """Resolve a morphism reference: file path first, then catalog name.
+
+    An existing path shadows the catalog entry of the same spelling: a file
+    named g4 in the working directory is loaded instead of catalog("g4").
+    """
     path = Path(ref)
     if path.exists():
         return parse_morphism_file(path.read_text(encoding="utf-8"))
@@ -48,17 +52,18 @@ def load_morphism(ref: str) -> Morphism:
     raise ParseError(f"no such morphism file or catalog name: {ref}")
 
 
-def _occurrence_json(occ) -> dict:
-    return {"kind": occ.kind.value, "start": occ.start, "period": occ.period}
+def _occurrence_json(word: Word, occ: Occurrence, image: Word | None = None) -> dict:
+    """The {word[, image], occurrence} witness of a located pattern."""
+    witness: dict = {"word": word.text}
+    if image is not None:
+        witness["image"] = image.text
+    witness["occurrence"] = {"kind": occ.kind.value, "start": occ.start, "period": occ.period}
+    return witness
 
 
 def _witness_json(w) -> dict:
     if isinstance(w, ImageWitness):
-        return {
-            "word": w.word.text,
-            "image": w.image.text,
-            "occurrence": _occurrence_json(w.occurrence),
-        }
+        return _occurrence_json(w.word, w.occurrence, w.image)
     if isinstance(w, BorderWitness):
         return {
             "a": w.a,
@@ -131,13 +136,10 @@ def _cmd_check_word(args: argparse.Namespace) -> int:
     kind = PatternKind(args.pattern)
     occ = find_pattern(word, kind)
     if args.json:
-        witness = None
-        if occ is not None:
-            witness = {"word": word.text, "occurrence": _occurrence_json(occ)}
         _emit_json(
             "check-word",
             "none" if occ is None else "found",
-            witness,
+            None if occ is None else _occurrence_json(word, occ),
             _stats(1, len(word), t0),
         )
     elif occ is None:
@@ -153,12 +155,8 @@ def _cmd_check_word(args: argparse.Namespace) -> int:
 def _cmd_check_morphism(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     m = load_morphism(args.morphism)
-    if args.definition == "overlap":
-        verdict = check_overlap_def(m)
-        kind = PatternKind.OVERLAP
-    else:
-        verdict = check_square_def(m)
-        kind = PatternKind.SQUARE
+    kind = PatternKind(args.definition)
+    verdict = (check_overlap_def if kind is PatternKind.OVERLAP else check_square_def)(m)
     if args.json:
         witness = None
         for report in verdict.reports:
@@ -181,31 +179,18 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     m = load_morphism(args.morphism)
     kind = PatternKind(args.pattern)
-    if args.direction == "forward":
-        directions = (Direction.FORWARD,)
-    elif args.direction == "backward":
-        directions = (Direction.BACKWARD,)
-    else:
-        directions = (Direction.FORWARD, Direction.BACKWARD)
+    directions = tuple(Direction) if args.direction == "both" else (Direction(args.direction),)
     results: list[SearchResult] = []
     for direction in directions:
-        if direction is Direction.FORWARD:
-            result = search_forward(m, kind, args.max_len)
-        else:
-            result = search_backward(m, kind, args.max_len)
+        search = search_forward if direction is Direction.FORWARD else search_backward
+        result = search(m, kind, args.max_len)
         results.append(result)
         if result.counterexample is not None:
             break
     cex = next((r.counterexample for r in results if r.counterexample), None)
     total = sum(r.words_checked for r in results)
     if args.json:
-        witness = None
-        if cex is not None:
-            witness = {
-                "word": cex.word.text,
-                "image": cex.image.text,
-                "occurrence": _occurrence_json(cex.occurrence),
-            }
+        witness = None if cex is None else _occurrence_json(cex.word, cex.occurrence, cex.image)
         _emit_json(
             "certify", "none" if cex is None else "found", witness, _stats(total, args.max_len, t0)
         )
@@ -298,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--def",
         dest="definition",
         required=True,
-        choices=["overlap", "square"],
+        choices=[PatternKind.OVERLAP.value, PatternKind.SQUARE.value],
         help="which condition bundle to run",
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -317,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True, help="word length bound")
     p.add_argument(
         "--direction",
-        choices=["forward", "backward", "both"],
+        choices=[d.value for d in Direction] + ["both"],
         default="both",
         help="forward: pattern-free words; backward: pattern-containing words",
     )

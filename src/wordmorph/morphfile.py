@@ -15,6 +15,7 @@ source letter:
     <letter> -> <image>
 
 Letters are single characters and the alphabet line fixes their order.
+Since '#' starts a comment, '#' cannot be a letter in a file.
 format_morphism_file and parse_morphism_file round-trip.
 """
 
@@ -95,7 +96,12 @@ def parse_morphism_file(text: str) -> Morphism:
 
 
 def format_morphism_file(m: Morphism, comment: str | None = None) -> str:
-    """Render a morphism in the file format; inverse of parse_morphism_file."""
+    """Render a morphism in the file format; inverse of parse_morphism_file.
+
+    Raises ValueError when a letter is '#', which the format reads as a comment.
+    """
+    if "#" in m.source or "#" in m.target:
+        raise ValueError("'#' starts a comment in a morphism file and cannot be a letter")
     lines = []
     if comment:
         lines.extend(f"# {part}" for part in comment.splitlines())

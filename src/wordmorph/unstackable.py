@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .morphisms import Morphism
-from .words import Occurrence, PatternKind, Word, find_pattern
+from .words import Occurrence, PatternKind, Word, enumerate_pattern_free, find_pattern
 
 
 class NonUniformError(ValueError):
@@ -103,13 +103,19 @@ class Verdict:
 
 def pattern_free_triples(alphabet, kind: PatternKind) -> list[Word]:
     """All kind-free words of length exactly 3, in lexicographic order."""
-    out = []
-    k = len(alphabet)
-    for t in itertools.product(range(k), repeat=3):
-        w = Word(t, alphabet)
-        if find_pattern(w, kind) is None:
-            out.append(w)
-    return out
+    return [w for w in enumerate_pattern_free(alphabet, kind, 3) if len(w) == 3]
+
+
+def _image_witnesses(m: Morphism, words, kind: PatternKind) -> list[Witness]:
+    """An ImageWitness, with the minimal occurrence, for each word whose image
+    contains the kind; in the order of words."""
+    witnesses: list[Witness] = []
+    for w in words:
+        image = m.apply(w)
+        occ = find_pattern(image, kind)
+        if occ is not None:
+            witnesses.append(ImageWitness(w, image, occ))
+    return witnesses
 
 
 def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
@@ -120,13 +126,8 @@ def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
     """
     if kind not in (PatternKind.OVERLAP, PatternKind.SQUARE):
         raise ValueError("image-triple check supports overlap and square patterns only")
-    witnesses: list[Witness] = []
     triples = pattern_free_triples(m.source, kind)
-    for w in triples:
-        image = m.apply(w)
-        occ = find_pattern(image, kind)
-        if occ is not None:
-            witnesses.append(ImageWitness(w, image, occ))
+    witnesses = _image_witnesses(m, triples, kind)
     notes: tuple[str, ...] = ()
     if not triples:
         notes = (
@@ -134,6 +135,25 @@ def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
             f" {len(m.source)}-letter alphabet; the condition holds vacuously",
         )
     return ConditionReport.from_witnesses(f"{kind.value}-triples", witnesses, notes)
+
+
+def border_offenders(m: Morphism, stem: Word, tail: Word) -> list[tuple[str, str]]:
+    """The (side, letter) pairs that make a shared border exploitable.
+
+    side is "stem-suffix" for each letter whose image ends with stem and
+    "tail-prefix" for each letter whose image begins with tail. Every
+    stem-suffix pair comes before every tail-prefix pair, letters in alphabet
+    order within each side.
+    """
+    stem_hits = [
+        ("stem-suffix", c) for c, image in zip(m.source.letters, m.images)
+        if image.symbols[len(image) - len(stem):] == stem.symbols
+    ]
+    tail_hits = [
+        ("tail-prefix", c) for c, image in zip(m.source.letters, m.images)
+        if image.symbols[:len(tail)] == tail.symbols
+    ]
+    return stem_hits + tail_hits
 
 
 def check_border_condition(m: Morphism) -> ConditionReport:
@@ -153,42 +173,16 @@ def check_border_condition(m: Morphism) -> ConditionReport:
     half = n // 2
     witnesses: list[Witness] = []
     letters = m.source.letters
-    for a_i, a in enumerate(letters):
-        ia = m.images[a_i]
-        for b_i, b in enumerate(letters):
-            ib = m.images[b_i]
+    for a, ia in zip(letters, m.images):
+        for b, ib in zip(letters, m.images):
             for lv in range(1, half + 1):
-                border = ia.symbols[n - lv:]
-                if ib.symbols[:lv] != border:
+                if ia.symbols[n - lv:] != ib.symbols[:lv]:
                     continue
-                stem = ia.symbols[:n - lv]
-                tail = ib.symbols[lv:]
-                for c_i, c in enumerate(letters):
-                    if m.images[c_i].symbols[lv:] == stem:
-                        witnesses.append(
-                            BorderWitness(
-                                a,
-                                b,
-                                Word(border, m.target),
-                                Word(stem, m.target),
-                                Word(tail, m.target),
-                                "stem-suffix",
-                                c,
-                            )
-                        )
-                for c_i, c in enumerate(letters):
-                    if m.images[c_i].symbols[:n - lv] == tail:
-                        witnesses.append(
-                            BorderWitness(
-                                a,
-                                b,
-                                Word(border, m.target),
-                                Word(stem, m.target),
-                                Word(tail, m.target),
-                                "tail-prefix",
-                                c,
-                            )
-                        )
+                border, stem, tail = ia[n - lv:], ia[:n - lv], ib[lv:]
+                witnesses.extend(
+                    BorderWitness(a, b, border, stem, tail, side, c)
+                    for side, c in border_offenders(m, stem, tail)
+                )
     notes: tuple[str, ...] = ()
     if half == 0:
         notes = (
@@ -227,19 +221,11 @@ def check_lemma_consequences(
     """
     if len(m.source) <= 1:
         raise ValueError("lemma consequences need at least two source letters")
-    singles: list[Witness] = []
-    for a_i in range(len(m.source)):
-        image = m.images[a_i]
-        occ = find_pattern(image, PatternKind.OVERLAP)
-        if occ is not None:
-            singles.append(ImageWitness(Word((a_i,), m.source), image, occ))
-    pairs: list[Witness] = []
-    for a_i, b_i in itertools.product(range(len(m.source)), repeat=2):
-        w = Word((a_i, b_i), m.source)
-        image = m.apply(w)
-        occ = find_pattern(image, PatternKind.OVERLAP)
-        if occ is not None:
-            pairs.append(ImageWitness(w, image, occ))
+    k = len(m.source)
+    singles = _image_witnesses(m, [Word((a,), m.source) for a in range(k)], PatternKind.OVERLAP)
+    pairs = _image_witnesses(
+        m, [Word(t, m.source) for t in itertools.product(range(k), repeat=2)], PatternKind.OVERLAP
+    )
     return (
         ConditionReport.from_witnesses("single-images", singles),
         ConditionReport.from_witnesses("letter-pairs", pairs),

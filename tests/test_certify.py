@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +14,11 @@ from wordmorph import (
     Morphism,
     Occurrence,
     PatternKind,
+    Word,
     catalog,
     certify_backward,
     certify_forward,
+    check_border_condition,
     classify_alignment,
     explain,
     find_pattern,
@@ -253,7 +258,44 @@ def test_explain_misaligned_border_counterexample():
     assert "4 of them" in text
     assert "shared border V=a" in text
     assert "border condition violated" in text
-    assert "S is a suffix of image('1')" in text
+    assert (
+        "    border condition violated: S is a suffix of image('1'); U is a prefix of image('0')\n"
+        in text
+    )
+
+
+_BORDER_LINE = re.compile(r"  shared border V=(\w+) \(.*\): image\('(.)'\) = S·V .* image\('(.)'\) = V·U")
+_HIT = re.compile(r"(S is a suffix|U is a prefix) of image\('(.)'\)")
+
+
+def test_explain_border_hits_follow_checker_witnesses():
+    # every border explain lists with |V| <= floor(n/2) names exactly the
+    # checker's witnesses for that (a, b, V), in the checker's order
+    m = Morphism.from_strings("012", ["bba", "abb", "aab"], target="ab")
+    witnesses = check_border_condition(m).witnesses
+    side = {"S is a suffix": "stem-suffix", "U is a prefix": "tail-prefix"}
+    borders_seen = 0
+    for length in range(1, 6):
+        for t in itertools.product(range(3), repeat=length):
+            word = Word(t, m.source)
+            image = m.apply(word)
+            occ = find_pattern(image, PatternKind.OVERLAP)
+            if occ is None:
+                continue
+            lines = explain(m, Counterexample(Direction.FORWARD, word, image, occ)).splitlines()
+            for line, nxt in zip(lines, lines[1:]):
+                match = _BORDER_LINE.match(line)
+                if match is None:
+                    continue
+                v, a, b = match.groups()
+                borders_seen += 1
+                hits = [(side[s], c) for s, c in _HIT.findall(nxt)]
+                assert hits == [
+                    (w.side, w.offender)
+                    for w in witnesses
+                    if (w.a, w.b, w.border.text) == (a, b, v)
+                ], (word.text, line, nxt)
+    assert borders_seen > 0
 
 
 def test_explain_non_uniform_positions_only():

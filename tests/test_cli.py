@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from conftest import REPORT_SCHEMA, run_cli
+from wordmorph.cli import load_morphism
 from wordmorph import (
     Morphism,
     ParseError,
@@ -252,8 +253,176 @@ def test_format_parse_roundtrip_in_process():
     assert parse_morphism_file(text) == m
 
 
+def test_format_rejects_comment_letter():
+    # '#' would start a comment when the file is read back: a '#a' alphabet
+    # would parse as empty, and target 01# with images 0#, 1# would come back
+    # as target 01 with images 0 and 1
+    for m in (
+        Morphism.from_strings("#a", ["a#", "#a"]),
+        Morphism.from_strings("01", ["0#", "1#"], target="01#"),
+    ):
+        with pytest.raises(ValueError, match="'#'"):
+            format_morphism_file(m)
+
+
+def test_load_morphism_path_shadows_catalog(tmp_path, monkeypatch):
+    (tmp_path / "g4").write_text("alphabet: 01\n0 -> 00\n1 -> 11\n")
+    monkeypatch.chdir(tmp_path)
+    assert load_morphism("g4") == Morphism.from_strings("01", ["00", "11"])
+    assert load_morphism("leech") == catalog("leech")
+
+
 def test_parse_morphism_file_error_reports_line():
     with pytest.raises(ParseError) as exc_info:
         parse_morphism_file("alphabet: 01\n0 -> 0x\n1 -> 1\n")
     assert "line 2" in str(exc_info.value)
     assert "'x'" in str(exc_info.value)
+
+
+# -- golden output -------------------------------------------------------------
+
+DOUBLING = "# doubles every letter\nalphabet: 01\n0 -> 00\n1 -> 11\n"
+# square-free images of the square-free triples 010 and 101, but both images
+# begin with 0
+SHARED_FIRST = "alphabet: 01\ntarget: 012\n0 -> 01\n1 -> 02\n"
+# every image of an overlap-free triple repeats 01 or 10
+PERIOD_TWO = "alphabet: 01\n0 -> 010\n1 -> 101\n"
+
+
+def _file(tmp_path, text: str) -> str:
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    return str(f)
+
+
+def test_check_morphism_golden_thue_morse():
+    res = run_cli("check-morphism", "thue_morse", "--def", "overlap")
+    assert res.returncode == 1
+    assert res.stdout == (
+        "definition: overlap\n"
+        "condition overlap-triples: holds\n"
+        "condition border: FAILS (4 witness(es))\n"
+        "  a=0 b=1 V=1 S=0 U=0: S is a suffix of the image of '1'\n"
+        "  a=0 b=1 V=1 S=0 U=0: U is a prefix of the image of '0'\n"
+        "  a=1 b=0 V=0 S=1 U=1: S is a suffix of the image of '0'\n"
+        "  a=1 b=0 V=0 S=1 U=1: U is a prefix of the image of '1'\n"
+        "verdict: fail\n"
+    )
+
+
+def test_check_morphism_golden_image_triples(tmp_path):
+    res = run_cli("check-morphism", _file(tmp_path, PERIOD_TWO), "--def", "overlap")
+    assert res.returncode == 1
+    assert res.stdout == (
+        "definition: overlap\n"
+        "condition overlap-triples: FAILS (6 witness(es))\n"
+        "  word 001 -> image 010010101: overlap at start 3, period 2\n"
+        "  word 010 -> image 010101010: overlap at start 0, period 2\n"
+        "  word 011 -> image 010101101: overlap at start 0, period 2\n"
+        "  word 100 -> image 101010010: overlap at start 0, period 2\n"
+        "  word 101 -> image 101010101: overlap at start 0, period 2\n"
+        "  word 110 -> image 101101010: overlap at start 3, period 2\n"
+        "condition border: FAILS (4 witness(es))\n"
+        "  a=0 b=0 V=0 S=01 U=10: S is a suffix of the image of '1'\n"
+        "  a=0 b=0 V=0 S=01 U=10: U is a prefix of the image of '1'\n"
+        "  a=1 b=1 V=1 S=10 U=01: S is a suffix of the image of '0'\n"
+        "  a=1 b=1 V=1 S=10 U=01: U is a prefix of the image of '0'\n"
+        "verdict: fail\n"
+    )
+
+
+def test_check_morphism_golden_marked_ends(tmp_path):
+    res = run_cli("check-morphism", _file(tmp_path, SHARED_FIRST), "--def", "square")
+    assert res.returncode == 1
+    assert res.stdout == (
+        "definition: square\n"
+        "condition square-triples: holds\n"
+        "condition marked-ends: FAILS (1 witness(es))\n"
+        "  images of '0' and '1' both begin with '0'\n"
+        "condition border: holds\n"
+        "verdict: fail\n"
+    )
+
+
+def test_certify_golden_counterexample(tmp_path):
+    res = run_cli("certify", _file(tmp_path, DOUBLING), "--pattern", "square", "--max-len", "4")
+    assert res.returncode == 1
+    assert res.stdout == (
+        "forward: checked 1 square-free word(s) up to length 4\n"
+        "  length 1: 1\n"
+        "counterexample (forward):\n"
+        "  word:  0\n"
+        "  image: 00\n"
+        "  square in the image at start 0, period 1\n"
+    )
+
+
+def _json_report(*args: str) -> tuple[int, dict]:
+    res = run_cli(*args, "--json")
+    report = json.loads(res.stdout)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    del report["stats"]["elapsed_ms"]
+    return res.returncode, report
+
+
+def test_json_witness_golden(tmp_path):
+    occurrence = {"kind": "overlap", "start": 0, "period": 3}
+    assert _json_report("check-word", "alfalfa", "--pattern", "overlap", "--alphabet", "alf") == (
+        1,
+        {
+            "command": "check-word",
+            "verdict": "found",
+            "witness": {"word": "alfalfa", "occurrence": occurrence},
+            "stats": {"words_checked": 1, "max_len": 7},
+        },
+    )
+    assert _json_report("check-morphism", "thue_morse", "--def", "overlap") == (
+        1,
+        {
+            "command": "check-morphism",
+            "verdict": "fail",
+            "witness": {"a": "0", "b": "1", "V": "1", "S": "0", "U": "0"},
+            "stats": {"words_checked": 6, "max_len": 3},
+        },
+    )
+    assert _json_report("check-morphism", _file(tmp_path, PERIOD_TWO), "--def", "overlap") == (
+        1,
+        {
+            "command": "check-morphism",
+            "verdict": "fail",
+            "witness": {
+                "word": "001",
+                "image": "010010101",
+                "occurrence": {"kind": "overlap", "start": 3, "period": 2},
+            },
+            "stats": {"words_checked": 6, "max_len": 3},
+        },
+    )
+    assert _json_report("check-morphism", _file(tmp_path, SHARED_FIRST), "--def", "square") == (
+        1,
+        {
+            "command": "check-morphism",
+            "verdict": "fail",
+            "witness": {"a": "0", "b": "1"},
+            "stats": {"words_checked": 2, "max_len": 3},
+        },
+    )
+    doubling = _file(tmp_path, DOUBLING)
+    assert _json_report("certify", doubling, "--pattern", "square", "--max-len", "4") == (
+        1,
+        {
+            "command": "certify",
+            "verdict": "found",
+            "witness": {
+                "word": "0",
+                "image": "00",
+                "occurrence": {"kind": "square", "start": 0, "period": 1},
+            },
+            "stats": {"words_checked": 1, "max_len": 4},
+        },
+    )
+    # certify sums words_checked over the directions it ran
+    assert _json_report("certify", "leech", "--pattern", "square", "--max-len", "5") == (
+        0,
+        {"command": "certify", "verdict": "none", "stats": {"words_checked": 363, "max_len": 5}},
+    )

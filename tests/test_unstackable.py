@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,8 @@ from wordmorph import (
     check_square_def,
     find_pattern,
 )
+from wordmorph.unstackable import pattern_free_triples
+from wordmorph.words import Alphabet, Word
 
 
 def doubling() -> Morphism:
@@ -43,6 +47,23 @@ def brute_border_violations(m: Morphism) -> list[tuple[str, str, str]]:
                 ):
                     bad.append((a, b, ib[:lv]))
     return bad
+
+
+def filtered_triples(alphabet: Alphabet, kind: PatternKind) -> list[Word]:
+    # The former library body: filter all k^3 words with find_pattern.
+    out = []
+    for t in itertools.product(range(len(alphabet)), repeat=3):
+        w = Word(t, alphabet)
+        if find_pattern(w, kind) is None:
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("kind", list(PatternKind))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pattern_free_triples_match_filtering(k, kind):
+    alphabet = Alphabet.from_string("0123"[:k])
+    assert pattern_free_triples(alphabet, kind) == filtered_triples(alphabet, kind)
 
 
 def test_image_triples_violations_doubling():
