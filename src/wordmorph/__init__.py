@@ -24,7 +24,6 @@ from .morphisms import Morphism, catalog, catalog_names, iterate_prefix
 from .unstackable import (
     BorderWitness,
     ConditionReport,
-    Definition,
     EndWitness,
     ImageWitness,
     NonUniformError,
@@ -56,7 +55,6 @@ __all__ = [
     "BorderWitness",
     "ConditionReport",
     "Counterexample",
-    "Definition",
     "Direction",
     "EndWitness",
     "ImageWitness",

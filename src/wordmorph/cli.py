@@ -15,6 +15,7 @@ import sys
 import time
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from .certify import Direction, SearchResult, search_backward, search_forward
@@ -24,10 +25,8 @@ from .unstackable import (
     BorderWitness,
     EndWitness,
     ImageWitness,
-    Verdict,
     check_overlap_def,
     check_square_def,
-    pattern_free_triples,
 )
 from .words import Alphabet, Occurrence, ParseError, PatternKind, Word, find_pattern, parse_word
 
@@ -35,17 +34,34 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
+_EXIT_CODES = {"pass": EXIT_PASS, "none": EXIT_PASS, "fail": EXIT_FAIL, "found": EXIT_FAIL}
+
 _WITNESS_PRINT_CAP = 8
+
+
+@dataclass(frozen=True)
+class _Report:
+    """One command's outcome; main renders it as its text lines or as JSON.
+
+    witness is the JSON witness of the first violation or counterexample.
+    """
+
+    verdict: str
+    lines: list[str]
+    witness: dict | None = None
+    words_checked: int = 0
+    max_len: int = 0
 
 
 def load_morphism(ref: str) -> Morphism:
     """Resolve a morphism reference: file path first, then catalog name.
 
-    An existing path shadows the catalog entry of the same spelling: a file
-    named g4 in the working directory is loaded instead of catalog("g4").
+    An existing file shadows the catalog entry of the same spelling: a file
+    named g4 in the working directory is loaded instead of catalog("g4"). A
+    directory shadows nothing. Pipes such as /dev/stdin count as files.
     """
     path = Path(ref)
-    if path.exists():
+    if path.exists() and not path.is_dir():
         return parse_morphism_file(path.read_text(encoding="utf-8"))
     if ref in catalog_names():
         return catalog(ref)
@@ -61,122 +77,63 @@ def _occurrence_json(word: Word, occ: Occurrence, image: Word | None = None) -> 
     return witness
 
 
-def _witness_json(w) -> dict:
-    if isinstance(w, ImageWitness):
-        return _occurrence_json(w.word, w.occurrence, w.image)
-    if isinstance(w, BorderWitness):
-        return {
-            "a": w.a,
-            "b": w.b,
-            "V": w.border.text,
-            "S": w.stem.text,
-            "U": w.tail.text,
-        }
-    if isinstance(w, EndWitness):
-        return {"a": w.a, "b": w.b}
-    raise TypeError(f"unknown witness type: {type(w).__name__}")
-
-
-def _emit_json(command: str, verdict: str, witness: dict | None, stats: dict) -> None:
-    report: dict = {"command": command, "verdict": verdict}
-    if witness is not None:
-        report["witness"] = witness
-    report["stats"] = stats
-    print(json.dumps(report))
-
-
-def _stats(words_checked: int, max_len: int, t0: float) -> dict:
-    return {
-        "words_checked": words_checked,
-        "max_len": max_len,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-
-
-def _witness_line(w) -> str:
+def _render_witness(w) -> tuple[dict, str]:
+    """The JSON witness and the text line of one condition witness."""
     if isinstance(w, ImageWitness):
         occ = w.occurrence
-        return (
+        line = (
             f"word {w.word.text} -> image {w.image.text}:"
             f" {occ.kind.value} at start {occ.start}, period {occ.period}"
         )
+        return _occurrence_json(w.word, occ, w.image), line
     if isinstance(w, BorderWitness):
-        what = (
-            f"S is a suffix of the image of {w.offender!r}"
-            if w.side == "stem-suffix"
-            else f"U is a prefix of the image of {w.offender!r}"
-        )
-        return (
-            f"a={w.a} b={w.b} V={w.border.text} S={w.stem.text} U={w.tail.text}: {what}"
-        )
+        fields = {"a": w.a, "b": w.b, "V": w.border.text, "S": w.stem.text, "U": w.tail.text}
+        what = "S is a suffix" if w.side == "stem-suffix" else "U is a prefix"
+        line = " ".join(f"{name}={value}" for name, value in fields.items())
+        return fields, f"{line}: {what} of the image of {w.offender!r}"
     if isinstance(w, EndWitness):
         where = "begin" if w.end == "first" else "end"
-        return f"images of {w.a!r} and {w.b!r} both {where} with {w.letter!r}"
+        line = f"images of {w.a!r} and {w.b!r} both {where} with {w.letter!r}"
+        return {"a": w.a, "b": w.b}, line
     raise TypeError(f"unknown witness type: {type(w).__name__}")
 
 
-def _print_verdict(verdict: Verdict) -> None:
-    print(f"definition: {verdict.definition.value}")
-    for report in verdict.reports:
-        status = "holds" if report.holds else f"FAILS ({len(report.witnesses)} witness(es))"
-        print(f"condition {report.condition}: {status}")
-        for note in report.notes:
-            print(f"  note: {note}")
-        for w in report.witnesses[:_WITNESS_PRINT_CAP]:
-            print(f"  {_witness_line(w)}")
-        if len(report.witnesses) > _WITNESS_PRINT_CAP:
-            print(f"  ... {len(report.witnesses) - _WITNESS_PRINT_CAP} more")
-    print(f"verdict: {'pass' if verdict.passed else 'fail'}")
-
-
-def _cmd_check_word(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_check_word(args: argparse.Namespace) -> _Report:
     alphabet = Alphabet.from_string(args.alphabet)
     word = parse_word(args.word, alphabet)
     kind = PatternKind(args.pattern)
     occ = find_pattern(word, kind)
-    if args.json:
-        _emit_json(
-            "check-word",
-            "none" if occ is None else "found",
-            None if occ is None else _occurrence_json(word, occ),
-            _stats(1, len(word), t0),
-        )
-    elif occ is None:
-        print("pattern-free")
-    else:
-        print(
-            f"found {kind.value} at start {occ.start}, period {occ.period}:"
-            f" {occ.factor(word).text}"
-        )
-    return EXIT_PASS if occ is None else EXIT_FAIL
+    if occ is None:
+        return _Report("none", ["pattern-free"], None, 1, len(word))
+    line = (
+        f"found {kind.value} at start {occ.start}, period {occ.period}:"
+        f" {occ.factor(word).text}"
+    )
+    return _Report("found", [line], _occurrence_json(word, occ), 1, len(word))
 
 
-def _cmd_check_morphism(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_check_morphism(args: argparse.Namespace) -> _Report:
     m = load_morphism(args.morphism)
     kind = PatternKind(args.definition)
     verdict = (check_overlap_def if kind is PatternKind.OVERLAP else check_square_def)(m)
-    if args.json:
-        witness = None
-        for report in verdict.reports:
-            if report.witnesses:
-                witness = _witness_json(report.witnesses[0])
-                break
-        scanned = len(pattern_free_triples(m.source, kind))
-        _emit_json(
-            "check-morphism",
-            "pass" if verdict.passed else "fail",
-            witness,
-            _stats(scanned, 3, t0),
-        )
-    else:
-        _print_verdict(verdict)
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    lines = [f"definition: {verdict.definition.value}"]
+    first = None
+    for report in verdict.reports:
+        status = "holds" if report.holds else f"FAILS ({len(report.witnesses)} witness(es))"
+        lines.append(f"condition {report.condition}: {status}")
+        lines += [f"  note: {note}" for note in report.notes]
+        for w in report.witnesses[:_WITNESS_PRINT_CAP]:
+            witness, line = _render_witness(w)
+            first = first or witness
+            lines.append(f"  {line}")
+        if len(report.witnesses) > _WITNESS_PRINT_CAP:
+            lines.append(f"  ... {len(report.witnesses) - _WITNESS_PRINT_CAP} more")
+    outcome = "pass" if verdict.passed else "fail"
+    lines.append(f"verdict: {outcome}")
+    return _Report(outcome, lines, first, verdict.words_checked, 3)
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_certify(args: argparse.Namespace) -> _Report:
     m = load_morphism(args.morphism)
     kind = PatternKind(args.pattern)
     directions = tuple(Direction) if args.direction == "both" else (Direction(args.direction),)
@@ -187,60 +144,52 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         results.append(result)
         if result.counterexample is not None:
             break
-    cex = next((r.counterexample for r in results if r.counterexample), None)
-    total = sum(r.words_checked for r in results)
-    if args.json:
-        witness = None if cex is None else _occurrence_json(cex.word, cex.occurrence, cex.image)
-        _emit_json(
-            "certify", "none" if cex is None else "found", witness, _stats(total, args.max_len, t0)
-        )
-        return EXIT_PASS if cex is None else EXIT_FAIL
+    lines = []
     for result in results:
         role = "free" if result.direction is Direction.FORWARD else "containing"
-        print(
+        lines.append(
             f"{result.direction.value}: checked {result.words_checked}"
             f" {kind.value}-{role} word(s) up to length {result.max_len}"
         )
         for length in sorted(result.checked_by_length):
             count = result.checked_by_length[length]
             if count:
-                print(f"  length {length}: {count}")
+                lines.append(f"  length {length}: {count}")
+    total = sum(r.words_checked for r in results)
+    cex = next((r.counterexample for r in results if r.counterexample), None)
     if cex is None:
-        print("no counterexample found")
-        return EXIT_PASS
+        lines.append("no counterexample found")
+        return _Report("none", lines, None, total, args.max_len)
     occ = cex.occurrence
     where = "image" if cex.direction is Direction.FORWARD else "word"
-    print(f"counterexample ({cex.direction.value}):")
-    print(f"  word:  {cex.word.text}")
-    print(f"  image: {cex.image.text}")
-    print(
-        f"  {occ.kind.value} in the {where} at start {occ.start}, period {occ.period}"
-    )
-    return EXIT_FAIL
+    lines += [
+        f"counterexample ({cex.direction.value}):",
+        f"  word:  {cex.word.text}",
+        f"  image: {cex.image.text}",
+        f"  {occ.kind.value} in the {where} at start {occ.start}, period {occ.period}",
+    ]
+    witness = _occurrence_json(cex.word, occ, cex.image)
+    return _Report("found", lines, witness, total, args.max_len)
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace) -> _Report:
     m = load_morphism(args.morphism)
     word = parse_word(args.word, m.source)
-    print(m.apply(word).text)
-    return EXIT_PASS
+    return _Report("pass", [m.apply(word).text])
 
 
-def _cmd_iterate(args: argparse.Namespace) -> int:
+def _cmd_iterate(args: argparse.Namespace) -> _Report:
     m = load_morphism(args.morphism)
-    print(iterate_prefix(m, args.seed, args.length).text)
-    return EXIT_PASS
+    return _Report("pass", [iterate_prefix(m, args.seed, args.length).text])
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> _Report:
     if args.action == "list":
-        for name in catalog_names():
-            print(name)
-        return EXIT_PASS
+        return _Report("pass", list(catalog_names()))
     if args.name is None:
         raise ParseError("catalog show needs a name; try: catalog show leech")
-    print(format_morphism_file(catalog(args.name), comment=f"catalog morphism {args.name}"), end="")
-    return EXIT_PASS
+    text = format_morphism_file(catalog(args.name), comment=f"catalog morphism {args.name}")
+    return _Report("pass", text.splitlines())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,11 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        report = args.func(args)
+        if getattr(args, "json", False):
+            out: dict = {"command": args.command, "verdict": report.verdict}
+            if report.witness is not None:
+                out["witness"] = report.witness
+            out["stats"] = {
+                "words_checked": report.words_checked,
+                "max_len": report.max_len,
+                "elapsed_ms": int((time.monotonic() - t0) * 1000),
+            }
+            print(json.dumps(out))
+        else:
+            print("\n".join(report.lines))
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return _EXIT_CODES[report.verdict]
 
 
 if __name__ == "__main__":

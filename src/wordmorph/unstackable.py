@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 from dataclasses import dataclass
-from enum import Enum, unique
 
 from .morphisms import Morphism
 from .words import Occurrence, PatternKind, Word, enumerate_pattern_free, find_pattern
@@ -67,13 +66,16 @@ class ConditionReport:
     """One checked condition with every violation found.
 
     holds is True exactly when witnesses is empty; notes carry vacuity
-    remarks and similar caveats.
+    remarks and similar caveats. words_checked is the number of source words
+    whose images the condition scanned: the pattern-free triples, the single
+    letters or the letter pairs; 0 for the conditions that compare image ends.
     """
 
     condition: str
     holds: bool
     witnesses: tuple[Witness, ...] = ()
     notes: tuple[str, ...] = ()
+    words_checked: int = 0
 
     @classmethod
     def from_witnesses(
@@ -81,24 +83,24 @@ class ConditionReport:
         condition: str,
         witnesses: list[Witness] | tuple[Witness, ...],
         notes: tuple[str, ...] = (),
+        words_checked: int = 0,
     ) -> ConditionReport:
         ws = tuple(witnesses)
-        return cls(condition, not ws, ws, notes)
-
-
-@unique
-class Definition(Enum):
-    """Which condition bundle a verdict refers to."""
-
-    OVERLAP = "overlap"
-    SQUARE = "square"
+        return cls(condition, not ws, ws, notes, words_checked)
 
 
 @dataclass(frozen=True)
 class Verdict:
-    definition: Definition
+    """The reports of one condition bundle; definition names the bundle."""
+
+    definition: PatternKind
     passed: bool
     reports: tuple[ConditionReport, ...]
+
+    @property
+    def words_checked(self) -> int:
+        """Source words whose images the bundle scanned, summed over its reports."""
+        return sum(r.words_checked for r in self.reports)
 
 
 def pattern_free_triples(alphabet, kind: PatternKind) -> list[Word]:
@@ -134,7 +136,9 @@ def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
             f"no {kind.value}-free words of length 3 exist over a"
             f" {len(m.source)}-letter alphabet; the condition holds vacuously",
         )
-    return ConditionReport.from_witnesses(f"{kind.value}-triples", witnesses, notes)
+    return ConditionReport.from_witnesses(
+        f"{kind.value}-triples", witnesses, notes, words_checked=len(triples)
+    )
 
 
 def border_offenders(m: Morphism, stem: Word, tail: Word) -> list[tuple[str, str]]:
@@ -227,8 +231,8 @@ def check_lemma_consequences(
         m, [Word(t, m.source) for t in itertools.product(range(k), repeat=2)], PatternKind.OVERLAP
     )
     return (
-        ConditionReport.from_witnesses("single-images", singles),
-        ConditionReport.from_witnesses("letter-pairs", pairs),
+        ConditionReport.from_witnesses("single-images", singles, words_checked=k),
+        ConditionReport.from_witnesses("letter-pairs", pairs, words_checked=k * k),
         check_marked_ends(m),
     )
 
@@ -246,7 +250,7 @@ def check_overlap_def(m: Morphism) -> Verdict:
         check_image_triples(m, PatternKind.OVERLAP),
         check_border_condition(m),
     )
-    return Verdict(Definition.OVERLAP, all(r.holds for r in reports), reports)
+    return Verdict(PatternKind.OVERLAP, all(r.holds for r in reports), reports)
 
 
 def check_square_def(m: Morphism) -> Verdict:
@@ -258,4 +262,4 @@ def check_square_def(m: Morphism) -> Verdict:
         check_marked_ends(m),
         check_border_condition(m),
     )
-    return Verdict(Definition.SQUARE, all(r.holds for r in reports), reports)
+    return Verdict(PatternKind.SQUARE, all(r.holds for r in reports), reports)

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import shlex
+
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conftest import REPORT_SCHEMA, run_cli
+from wordmorph import cli, unstackable
 from wordmorph.cli import load_morphism
+from wordmorph.unstackable import pattern_free_triples
 from wordmorph import (
     Morphism,
     ParseError,
@@ -272,6 +279,40 @@ def test_load_morphism_path_shadows_catalog(tmp_path, monkeypatch):
     assert load_morphism("leech") == catalog("leech")
 
 
+def test_load_morphism_directory_does_not_shadow_catalog(tmp_path, monkeypatch, capsys):
+    (tmp_path / "g4").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check-morphism", "g4", "--def", "overlap"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("verdict: pass\n")
+
+
+def test_load_morphism_reads_a_pipe():
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as f:
+        f.write("alphabet: 01\n0 -> 01\n1 -> 10\n")
+    try:
+        assert load_morphism(f"/dev/fd/{read_end}") == catalog("thue_morse")
+    finally:
+        os.close(read_end)
+
+
+def test_check_morphism_json_enumerates_triples_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pattern_free_triples(*args)
+
+    monkeypatch.setattr(unstackable, "pattern_free_triples", counting)
+    # a copy bound in cli would count as well
+    monkeypatch.setattr(cli, "pattern_free_triples", counting, raising=False)
+    assert cli.main(["check-morphism", "g4", "--def", "overlap", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["words_checked"] == 60
+    assert len(calls) == 1
+
+
 def test_parse_morphism_file_error_reports_line():
     with pytest.raises(ParseError) as exc_info:
         parse_morphism_file("alphabet: 01\n0 -> 0x\n1 -> 1\n")
@@ -287,6 +328,9 @@ DOUBLING = "# doubles every letter\nalphabet: 01\n0 -> 00\n1 -> 11\n"
 SHARED_FIRST = "alphabet: 01\ntarget: 012\n0 -> 01\n1 -> 02\n"
 # every image of an overlap-free triple repeats 01 or 10
 PERIOD_TWO = "alphabet: 01\n0 -> 010\n1 -> 101\n"
+# 1-uniform on one letter: both the triple and the border condition are vacuous
+ONE_LETTER = "alphabet: 0\n0 -> 0\n"
+DOUBLING_FOUR = "alphabet: 0123\n0 -> 00\n1 -> 11\n2 -> 22\n3 -> 33\n"
 
 
 def _file(tmp_path, text: str) -> str:
@@ -340,6 +384,51 @@ def test_check_morphism_golden_marked_ends(tmp_path):
         "condition marked-ends: FAILS (1 witness(es))\n"
         "  images of '0' and '1' both begin with '0'\n"
         "condition border: holds\n"
+        "verdict: fail\n"
+    )
+
+
+def test_check_morphism_golden_vacuity_notes(tmp_path):
+    res = run_cli("check-morphism", _file(tmp_path, ONE_LETTER), "--def", "square")
+    assert res.returncode == 0
+    assert res.stdout == (
+        "definition: square\n"
+        "condition square-triples: holds\n"
+        "  note: no square-free words of length 3 exist over a 1-letter alphabet;"
+        " the condition holds vacuously\n"
+        "condition marked-ends: holds\n"
+        "condition border: holds\n"
+        "  note: a 1-uniform morphism admits no border with 1 <= |V| <= floor(n/2);"
+        " the condition holds vacuously\n"
+        "verdict: pass\n"
+    )
+
+
+def test_check_morphism_golden_witness_cap(tmp_path):
+    res = run_cli("check-morphism", _file(tmp_path, DOUBLING_FOUR), "--def", "square")
+    assert res.returncode == 1
+    assert res.stdout == (
+        "definition: square\n"
+        "condition square-triples: FAILS (36 witness(es))\n"
+        "  word 010 -> image 001100: square at start 0, period 1\n"
+        "  word 012 -> image 001122: square at start 0, period 1\n"
+        "  word 013 -> image 001133: square at start 0, period 1\n"
+        "  word 020 -> image 002200: square at start 0, period 1\n"
+        "  word 021 -> image 002211: square at start 0, period 1\n"
+        "  word 023 -> image 002233: square at start 0, period 1\n"
+        "  word 030 -> image 003300: square at start 0, period 1\n"
+        "  word 031 -> image 003311: square at start 0, period 1\n"
+        "  ... 28 more\n"
+        "condition marked-ends: holds\n"
+        "condition border: FAILS (8 witness(es))\n"
+        "  a=0 b=0 V=0 S=0 U=0: S is a suffix of the image of '0'\n"
+        "  a=0 b=0 V=0 S=0 U=0: U is a prefix of the image of '0'\n"
+        "  a=1 b=1 V=1 S=1 U=1: S is a suffix of the image of '1'\n"
+        "  a=1 b=1 V=1 S=1 U=1: U is a prefix of the image of '1'\n"
+        "  a=2 b=2 V=2 S=2 U=2: S is a suffix of the image of '2'\n"
+        "  a=2 b=2 V=2 S=2 U=2: U is a prefix of the image of '2'\n"
+        "  a=3 b=3 V=3 S=3 U=3: S is a suffix of the image of '3'\n"
+        "  a=3 b=3 V=3 S=3 U=3: U is a prefix of the image of '3'\n"
         "verdict: fail\n"
     )
 
@@ -426,3 +515,61 @@ def test_json_witness_golden(tmp_path):
         0,
         {"command": "certify", "verdict": "none", "stats": {"words_checked": 363, "max_len": 5}},
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-word", "0110", "--pattern", "overlap", "--alphabet", "01"),
+        ("check-word", "alfalfa", "--pattern", "overlap", "--alphabet", "alf"),
+        ("check-morphism", "g4", "--def", "overlap"),
+        ("check-morphism", "thue_morse", "--def", "overlap"),
+        ("certify", "leech", "--pattern", "square", "--max-len", "4"),
+        ("certify", "thue_morse", "--pattern", "square", "--max-len", "3"),
+    ],
+    ids=lambda args: " ".join(args[:2]),
+)
+def test_exit_code_follows_json_verdict(args):
+    text = run_cli(*args)
+    code, report = _json_report(*args)
+    assert text.returncode == code
+    assert (code == 0) == (report["verdict"] in ("pass", "none"))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """(command, expected stdout) for each `$ wordmorph` line in the README's
+    fenced blocks; the expected output runs to the next `$` line or the end
+    of the block."""
+    examples: list[tuple[str, list[str]]] = []
+    current = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ wordmorph "):
+            current = []
+            examples.append((line[len("$ wordmorph "):], current))
+        elif current is not None:
+            current.append(line)
+    return [(command, "".join(f"{line}\n" for line in out)) for command, out in examples]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def _mask_elapsed(text: str) -> str:
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": N', text)
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 9
+
+
+@pytest.mark.parametrize(
+    "command, expected", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES]
+)
+def test_readme_example(command, expected):
+    res = run_cli(*shlex.split(command))
+    assert _mask_elapsed(res.stdout) == _mask_elapsed(expected)

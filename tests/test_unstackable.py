@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordmorph import (
-    Definition,
     EndWitness,
     Morphism,
     NonUniformError,
@@ -176,7 +175,7 @@ def test_lemma_consequences_requires_two_letters():
 
 def test_overlap_def_verdicts():
     v = check_overlap_def(catalog("thue_morse"))
-    assert v.definition is Definition.OVERLAP
+    assert v.definition is PatternKind.OVERLAP
     assert not v.passed
     assert [r.condition for r in v.reports] == ["overlap-triples", "border"]
     assert v.reports[0].holds and not v.reports[1].holds
@@ -188,13 +187,23 @@ def test_overlap_def_verdicts():
 
 def test_square_def_verdicts():
     v = check_square_def(catalog("leech"))
-    assert v.definition is Definition.SQUARE
+    assert v.definition is PatternKind.SQUARE
     assert v.passed
     assert [r.condition for r in v.reports] == ["square-triples", "marked-ends", "border"]
     assert check_square_def(Morphism.from_strings("012", ["0", "1", "2"])).passed
     assert not check_square_def(doubling()).passed
     with pytest.raises(NonUniformError):
         check_square_def(Morphism.from_strings("01", ["0", "11"]))
+
+
+def test_words_checked_counts_scanned_triples():
+    bundles = ((check_overlap_def, PatternKind.OVERLAP), (check_square_def, PatternKind.SQUARE))
+    for name in catalog_names():
+        m = catalog(name)
+        for check, kind in bundles:
+            assert check(m).words_checked == len(pattern_free_triples(m.source, kind)), (name, kind)
+    singles, pairs, ends = check_lemma_consequences(catalog("g4"))
+    assert (singles.words_checked, pairs.words_checked, ends.words_checked) == (4, 16, 0)
 
 
 @st.composite
