@@ -85,8 +85,10 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
 def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
     """Scan images of every kind-containing word up to max_len, shortest first."""
     if max_len < kind.min_span:
+        article = "an" if kind is PatternKind.OVERLAP else "a"
         raise ValueError(
-            f"max_len must be >= {kind.min_span} to fit a {kind.value} in the word"
+            f"max_len must be >= {kind.min_span} to fit {article} {kind.value}"
+            " in the word"
         )
     k = len(m.source)
     checked = {length: 0 for length in range(1, max_len + 1)}

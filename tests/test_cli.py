@@ -155,6 +155,20 @@ def test_certify_max_len_minimum():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "pattern, max_len, message",
+    [
+        ("overlap", "2", "error: max_len must be >= 3 to fit an overlap in the word\n"),
+        ("square", "1", "error: max_len must be >= 2 to fit a square in the word\n"),
+        ("cube", "2", "error: max_len must be >= 3 to fit a cube in the word\n"),
+    ],
+)
+def test_certify_max_len_below_pattern_message(pattern, max_len, message):
+    res = run_cli("certify", "leech", "--pattern", pattern, "--max-len", max_len)
+    assert res.returncode == 2
+    assert res.stderr == message
+
+
 def test_certify_backward_only():
     res = run_cli(
         "certify", "thue_morse", "--pattern", "overlap", "--max-len", "5",

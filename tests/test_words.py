@@ -13,16 +13,33 @@ from wordmorph import (
     ParseError,
     PatternKind,
     Word,
+    catalog,
     count_factor,
     enumerate_pattern_free,
     extend_check,
     find_pattern,
+    iterate_prefix,
     parse_word,
 )
+from wordmorph.words import _match_at
 
 BIN = Alphabet.from_string("01")
 TERN = Alphabet.from_string("012")
 LATIN = Alphabet.from_string("abcdefghijklmnopqrstuvwxyz")
+
+
+def naive_find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
+    # The former library body: a quadratic scan over (period, start).
+    sym = word.symbols
+    n = len(sym)
+    p = 1
+    while kind.span(p) <= n:
+        span = kind.span(p)
+        for i in range(n - span + 1):
+            if _match_at(sym, kind, i, p):
+                return Occurrence(kind, i, p)
+        p += 1
+    return None
 
 
 def test_alphabet_validation():
@@ -178,6 +195,80 @@ def test_find_pattern_witness_is_minimal_and_valid(symbols, kind):
                 assert not Occurrence(kind, i, p).matches(word)
         for i in range(occ.start):
             assert not Occurrence(kind, i, occ.period).matches(word)
+
+
+@pytest.mark.parametrize("k, max_len", [(1, 8), (2, 14), (3, 9)])
+def test_find_pattern_matches_naive_scan_exhaustively(k, max_len):
+    alphabet = Alphabet.from_string("012"[:k])
+    for length in range(max_len + 1):
+        for t in itertools.product(range(k), repeat=length):
+            word = Word(t, alphabet)
+            for kind in PatternKind:
+                assert find_pattern(word, kind) == naive_find_pattern(word, kind), (t, kind)
+
+
+@st.composite
+def words_over_small_alphabets(draw):
+    # Up to five letters, of which the word may use only some.
+    alphabet = Alphabet.from_string("abcde"[:draw(st.integers(1, 5))])
+    used = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=1, unique=True))
+    return Word(tuple(draw(st.lists(st.sampled_from(used), max_size=200))), alphabet)
+
+
+@given(words_over_small_alphabets(), st.sampled_from(list(PatternKind)))
+@settings(max_examples=200, deadline=None)
+def test_find_pattern_matches_naive_scan_on_random_words(word, kind):
+    assert find_pattern(word, kind) == naive_find_pattern(word, kind)
+
+
+# Planted starts at which the planted occurrence is the minimal witness. The
+# periods are not powers of two, so the last shift-AND step is a short one;
+# overlap-free binary words have squares only of periods 2^k and 3 * 2^k.
+@pytest.mark.parametrize(
+    "name, kind, n, period, start",
+    [
+        ("thue_morse", PatternKind.OVERLAP, 250, 24, 192),
+        ("thue_morse", PatternKind.OVERLAP, 1000, 96, 768),
+        ("leech", PatternKind.SQUARE, 250, 26, 169),
+        ("leech", PatternKind.SQUARE, 1000, 104, 676),
+        ("leech", PatternKind.CUBE, 250, 25, 172),
+        ("leech", PatternKind.CUBE, 1000, 100, 697),
+    ],
+)
+def test_find_pattern_matches_naive_scan_on_late_hits(name, kind, n, period, start):
+    m = catalog(name)
+    prefix = iterate_prefix(m, m.source.letters[0], n)
+    assert find_pattern(prefix, kind) is None
+    assert naive_find_pattern(prefix, kind) is None
+    # copy each letter from one period back, so that an occurrence of the
+    # period starts at start
+    sym = list(prefix.symbols)
+    for j in range(start + period, start + kind.span(period)):
+        sym[j] = sym[j - period]
+    word = Word(tuple(sym), prefix.alphabet)
+    assert find_pattern(word, kind) == Occurrence(kind, start, period)
+    assert naive_find_pattern(word, kind) == Occurrence(kind, start, period)
+
+
+def test_find_pattern_edge_cases():
+    for kind in PatternKind:
+        assert find_pattern(parse_word("", BIN), kind) is None
+    # letters the word never uses change nothing
+    assert find_pattern(parse_word("zz", LATIN), PatternKind.SQUARE) == Occurrence(
+        PatternKind.SQUARE, 0, 1
+    )
+    assert find_pattern(parse_word("abcab", LATIN), PatternKind.SQUARE) is None
+    assert find_pattern(parse_word("abcabc", LATIN), PatternKind.SQUARE) == Occurrence(
+        PatternKind.SQUARE, 0, 3
+    )
+    assert find_pattern(parse_word("yxzxzxy", LATIN), PatternKind.OVERLAP) == Occurrence(
+        PatternKind.OVERLAP, 1, 2
+    )
+    # symbol indices far beyond a byte
+    wide = Alphabet(tuple(chr(0x4E00 + i) for i in range(400)))
+    word = Word((399, 300, 7, 300, 7, 0), wide)
+    assert find_pattern(word, PatternKind.SQUARE) == Occurrence(PatternKind.SQUARE, 1, 2)
+    assert find_pattern(word, PatternKind.OVERLAP) is None
 
 
 def test_find_pattern_is_deterministic():
