@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from wordmorph import (
     Morphism,
     Occurrence,
     PatternKind,
+    SearchResult,
     Word,
     catalog,
     certify_backward,
     certify_forward,
     check_border_condition,
     classify_alignment,
+    enumerate_pattern_free,
     explain,
     find_pattern,
     parse_word,
@@ -27,6 +31,7 @@ from wordmorph import (
     search_backward,
     search_forward,
 )
+from wordmorph import certify as certify_module
 
 FOUR_TILE_CASES = {
     AlignmentCase.R0_LE_R2_LT_R1,
@@ -106,6 +111,123 @@ def nonerasing_morphisms(draw):
 @settings(max_examples=40, deadline=None)
 def test_backward_never_finds_counterexamples(m, kind):
     assert certify_backward(m, kind, 4) is None
+
+
+def naive_search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
+    # The former library body: two full scans per kind-containing word.
+    if max_len < kind.min_span:
+        article = "an" if kind is PatternKind.OVERLAP else "a"
+        raise ValueError(
+            f"max_len must be >= {kind.min_span} to fit {article} {kind.value}"
+            " in the word"
+        )
+    k = len(m.source)
+    checked = {length: 0 for length in range(1, max_len + 1)}
+    cex = None
+    for length in range(1, max_len + 1):
+        for t in itertools.product(range(k), repeat=length):
+            w = Word(t, m.source)
+            occ = find_pattern(w, kind)
+            if occ is None:
+                continue
+            checked[length] += 1
+            image = m.apply(w)
+            if find_pattern(image, kind) is None:
+                cex = Counterexample(Direction.BACKWARD, w, image, occ)
+                return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
+    return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
+
+
+def assert_same_backward_search(m: Morphism, kind: PatternKind, max_len: int) -> None:
+    fast = search_backward(m, kind, max_len)
+    naive = naive_search_backward(m, kind, max_len)
+    assert fast.checked_by_length == naive.checked_by_length
+    assert fast.counterexample == naive.counterexample
+
+
+CATALOG_BACKWARD_DEPTHS = {"thue_morse": 10, "leech": 6, "f4": 5, "g4": 5}
+
+
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", sorted(CATALOG_BACKWARD_DEPTHS))
+def test_backward_matches_naive_search_on_catalog(name, kind):
+    assert_same_backward_search(catalog(name), kind, CATALOG_BACKWARD_DEPTHS[name])
+
+
+@st.composite
+def morphisms_onto_separate_alphabets(draw):
+    # Source letters and target letters differ, unlike nonerasing_morphisms.
+    source = "abc"[:draw(st.integers(1, 3))]
+    target = "xyz"[:draw(st.integers(1, 3))]
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        sizes = {"min_size": n, "max_size": n}
+    else:
+        sizes = {"min_size": 1, "max_size": 4}
+    images = [draw(st.text(alphabet=target, **sizes)) for _ in source]
+    return Morphism.from_strings(source, images, target=target)
+
+
+@given(morphisms_onto_separate_alphabets(), st.sampled_from(list(PatternKind)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_backward_matches_naive_search_on_random_morphisms(m, kind, data):
+    assert_same_backward_search(m, kind, data.draw(st.integers(kind.min_span, 6)))
+
+
+@given(morphisms_onto_separate_alphabets(), st.sampled_from(list(PatternKind)))
+@settings(max_examples=60, deadline=None)
+def test_backward_confirms_each_image_occurrence_without_a_scan(m, kind):
+    # The image of the word's own occurrence is an occurrence in the image,
+    # so no image over the target alphabet ever needs a full scan, and only
+    # the children of kind-free words (the empty word included) are scanned.
+    scanned = []
+
+    def scan_source_words_only(w, kind):
+        assert w.alphabet == m.source, f"full scan of image {w.text}"
+        scanned.append(w)
+        return find_pattern(w, kind)
+
+    with mock.patch.object(certify_module, "find_pattern", scan_source_words_only):
+        search_backward(m, kind, 6)
+    kind_free_parents = 1 + sum(1 for _ in enumerate_pattern_free(m.source, kind, 5))
+    assert len(scanned) == len(m.source) * kind_free_parents
+
+
+def test_backward_falls_back_to_a_full_image_scan(monkeypatch):
+    # A valid morphism always confirms the inherited occurrence; refusing
+    # every confirmation sends each checked word through the full scan.
+    monkeypatch.setattr(Occurrence, "matches", lambda self, word: False)
+    for kind in PatternKind:
+        for name, depth in (("thue_morse", 8), ("leech", 5), ("g4", 4)):
+            assert_same_backward_search(catalog(name), kind, depth)
+        assert_same_backward_search(
+            Morphism.from_strings("ab", ["xy", "xyy"], target="xy"), kind, 6
+        )
+
+
+def test_backward_counterexample_reports_the_minimal_word_occurrence(monkeypatch):
+    # Make the image scan miss on one image. The word "ababb" inherits the
+    # square abab of its parent but its minimal square is the final bb.
+    m = Morphism.from_strings("ab", ["xy", "xyy"], target="xy")
+    word = parse_word("ababb", m.source)
+    image = m.apply(word)
+    scan = find_pattern
+
+    def blind_on_image(w, kind):
+        return None if w == image else scan(w, kind)
+
+    monkeypatch.setattr(Occurrence, "matches", lambda self, word: False)
+    monkeypatch.setattr(certify_module, "find_pattern", blind_on_image)
+    monkeypatch.setattr(sys.modules[__name__], "find_pattern", blind_on_image)
+    fast = search_backward(m, PatternKind.SQUARE, 6)
+    naive = naive_search_backward(m, PatternKind.SQUARE, 6)
+    assert fast.counterexample == Counterexample(
+        Direction.BACKWARD, word, image, Occurrence(PatternKind.SQUARE, 3, 1)
+    )
+    assert scan(word[:4], PatternKind.SQUARE) == Occurrence(PatternKind.SQUARE, 0, 2)
+    assert fast.counterexample == naive.counterexample
+    assert fast.checked_by_length == naive.checked_by_length
+    assert fast.checked_by_length[6] == 0
 
 
 def test_residues_examples_and_validation():
