@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .morphisms import Morphism
-from .unstackable import border_offenders
+from .unstackable import border_offenders, short_borders
 from .words import (
     Occurrence,
     PatternKind,
@@ -296,7 +296,7 @@ def explain(m: Morphism, cex: Counterexample) -> str:
     elif tile_span <= 3:
         lines.extend(_explain_short(word, occ, first_tile, last_tile))
     else:
-        lines.extend(_explain_border(m, word, image, occ, n))
+        lines.extend(_explain_border(m, word, occ, n))
     return "\n".join(lines)
 
 
@@ -368,56 +368,47 @@ def _explain_short(word: Word, occ: Occurrence, first_tile: int, last_tile: int)
     ]
 
 
-def _explain_border(
-    m: Morphism, word: Word, image: Word, occ: Occurrence, n: int
-) -> list[str]:
+def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[str]:
     # Inside the repetition window image[t] == image[t + p]; sliding the
     # piece of a tile that ends (or begins) at a tile boundary B forward by p
     # lands it against another boundary, exhibiting a shared border V between
-    # two image ends.
+    # the end of image(a) and the start of image(b). Each (a, b, |V|) is
+    # listed once, under the first boundary that exhibits it. Over four or
+    # more tiles the window always exhibits one of length min(q, n - q), so
+    # at least one border is within the border condition's reach.
     j0, p = occ.start, occ.period
     q = p % n
     t_tiles = p // n
     window_end = j0 + p if occ.kind is PatternKind.OVERLAP else j0 + p - 1
-    candidates: list[tuple[str, str, Word, str]] = []
+    exhibited: dict[tuple[str, str, int], str] = {}
     first_boundary = (j0 // n + 1) * n
     for boundary in range(first_boundary, window_end + 1, n):
-        if boundary - q >= j0 and q > 0:
+        if boundary - q >= j0:
             a = word.letter(boundary // n - 1)
             b = word.letter(boundary // n + t_tiles)
-            border = image[boundary - q:boundary]
-            candidates.append(
-                (a, b, border, f"tile suffix of length {q} ending at boundary {boundary}")
+            exhibited.setdefault(
+                (a, b, q), f"tile suffix of length {q} ending at boundary {boundary}"
             )
         if boundary + (n - q) - 1 <= window_end:
             b = word.letter(boundary // n)
             a = word.letter((boundary + p) // n)
-            border = image[boundary:boundary + n - q]
-            candidates.append(
-                (a, b, border, f"tile prefix of length {n - q} starting at boundary {boundary}")
+            exhibited.setdefault(
+                (a, b, n - q), f"tile prefix of length {n - q} starting at boundary {boundary}"
             )
-    seen: set[tuple[str, str, tuple[int, ...]]] = set()
+    short = {
+        (a, b, len(border)): (border, stem, tail)
+        for a, b, border, stem, tail in short_borders(m)
+    }
     lines: list[str] = []
-    applicable = 0
-    for a, b, border, how in candidates:
-        key = (a, b, border.symbols)
-        if key in seen:
-            continue
-        seen.add(key)
-        ia, ib = m.image(a), m.image(b)
-        lv = len(border)
-        if ia.symbols[n - lv:] != border.symbols or ib.symbols[:lv] != border.symbols:
-            continue
-        if lv > n // 2:
+    for (a, b, lv), how in exhibited.items():
+        if (a, b, lv) not in short:
             lines.append(
-                f"  shared border V={border.text} between image({a!r}) and"
+                f"  shared border V={m.image(b)[:lv].text} between image({a!r}) and"
                 f" image({b!r}) ({how}) is longer than floor(n/2)={n // 2};"
                 " outside the border condition's reach"
             )
             continue
-        applicable += 1
-        stem = Word(ia.symbols[:n - lv], m.target)
-        tail = Word(ib.symbols[lv:], m.target)
+        border, stem, tail = short[a, b, lv]
         lines.append(
             f"  shared border V={border.text} ({how}): image({a!r}) = S·V with"
             f" S={stem.text}, image({b!r}) = V·U with U={tail.text}"
@@ -431,9 +422,4 @@ def _explain_border(
             lines.append("    border condition violated: " + "; ".join(hits))
         else:
             lines.append("    neither S nor U matches an image end here")
-    if applicable == 0:
-        lines.append(
-            "  no border with |V| <= floor(n/2) is exhibited inside the repetition"
-            " window; positions above are the whole story"
-        )
     return lines

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .morphisms import Morphism
@@ -65,37 +66,33 @@ Witness = ImageWitness | BorderWitness | EndWitness
 class ConditionReport:
     """One checked condition with every violation found.
 
-    holds is True exactly when witnesses is empty; notes carry vacuity
-    remarks and similar caveats. words_checked is the number of source words
-    whose images the condition scanned: the pattern-free triples, the single
-    letters or the letter pairs; 0 for the conditions that compare image ends.
+    holds, a property, is True exactly when witnesses is empty; notes carry
+    vacuity remarks and similar caveats. words_checked is the number of source
+    words whose images the condition scanned: the pattern-free triples, the
+    single letters or the letter pairs; 0 for the conditions comparing ends.
     """
 
     condition: str
-    holds: bool
     witnesses: tuple[Witness, ...] = ()
     notes: tuple[str, ...] = ()
     words_checked: int = 0
 
-    @classmethod
-    def from_witnesses(
-        cls,
-        condition: str,
-        witnesses: list[Witness] | tuple[Witness, ...],
-        notes: tuple[str, ...] = (),
-        words_checked: int = 0,
-    ) -> ConditionReport:
-        ws = tuple(witnesses)
-        return cls(condition, not ws, ws, notes, words_checked)
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """The reports of one condition bundle; definition names the bundle."""
+    """The reports of one condition bundle; definition names the bundle, and
+    passed, a property, is True exactly when every report holds."""
 
     definition: PatternKind
-    passed: bool
     reports: tuple[ConditionReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.holds for r in self.reports)
 
     @property
     def words_checked(self) -> int:
@@ -108,7 +105,7 @@ def pattern_free_triples(alphabet, kind: PatternKind) -> list[Word]:
     return [w for w in enumerate_pattern_free(alphabet, kind, 3) if len(w) == 3]
 
 
-def _image_witnesses(m: Morphism, words, kind: PatternKind) -> list[Witness]:
+def _image_witnesses(m: Morphism, words, kind: PatternKind) -> tuple[Witness, ...]:
     """An ImageWitness, with the minimal occurrence, for each word whose image
     contains the kind; in the order of words."""
     witnesses: list[Witness] = []
@@ -117,7 +114,7 @@ def _image_witnesses(m: Morphism, words, kind: PatternKind) -> list[Witness]:
         occ = find_pattern(image, kind)
         if occ is not None:
             witnesses.append(ImageWitness(w, image, occ))
-    return witnesses
+    return tuple(witnesses)
 
 
 def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
@@ -136,9 +133,7 @@ def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
             f"no {kind.value}-free words of length 3 exist over a"
             f" {len(m.source)}-letter alphabet; the condition holds vacuously",
         )
-    return ConditionReport.from_witnesses(
-        f"{kind.value}-triples", witnesses, notes, words_checked=len(triples)
-    )
+    return ConditionReport(f"{kind.value}-triples", witnesses, notes, words_checked=len(triples))
 
 
 def border_offenders(m: Morphism, stem: Word, tail: Word) -> list[tuple[str, str]]:
@@ -160,40 +155,47 @@ def border_offenders(m: Morphism, stem: Word, tail: Word) -> list[tuple[str, str
     return stem_hits + tail_hits
 
 
-def check_border_condition(m: Morphism) -> ConditionReport:
-    """Check that no short shared border leaks an image end.
+def short_borders(m: Morphism) -> Iterator[tuple[str, str, Word, Word, Word]]:
+    """The short shared borders the border condition inspects.
 
-    For every ordered pair (a, b) of source letters, including a == b, and
-    every nonempty V with |V| <= floor(n/2) such that image(a) ends with V
-    and image(b) begins with V, split image(a) == S + V and image(b) == V + U.
-    The condition requires that S is a suffix of no image and U a prefix of no
-    image. Witnesses are ordered by (a, b, |V|), suffix side before prefix
-    side, offenders in alphabet order; for a given (a, b) and length there is
-    exactly one candidate V, so this is the full lexicographic order.
+    Yields (a, b, V, S, U) for every ordered pair (a, b) of source letters,
+    including a == b, and every V with 1 <= |V| <= floor(n/2) such that
+    image(a) == S + V and image(b) == V + U, in (a, b, |V|) order; for a given
+    (a, b) and length there is at most one such V. Raises NonUniformError for
+    a non-uniform morphism.
     """
     n = m.uniform_length()
     if n is None:
         raise NonUniformError("the border condition requires a uniform morphism")
-    half = n // 2
-    witnesses: list[Witness] = []
     letters = m.source.letters
     for a, ia in zip(letters, m.images):
         for b, ib in zip(letters, m.images):
-            for lv in range(1, half + 1):
-                if ia.symbols[n - lv:] != ib.symbols[:lv]:
-                    continue
-                border, stem, tail = ia[n - lv:], ia[:n - lv], ib[lv:]
-                witnesses.extend(
-                    BorderWitness(a, b, border, stem, tail, side, c)
-                    for side, c in border_offenders(m, stem, tail)
-                )
+            for lv in range(1, n // 2 + 1):
+                if ia.symbols[n - lv:] == ib.symbols[:lv]:
+                    yield a, b, ia[n - lv:], ia[:n - lv], ib[lv:]
+
+
+def check_border_condition(m: Morphism) -> ConditionReport:
+    """Check that no short shared border leaks an image end.
+
+    For every border (a, b, V, S, U) of short_borders the condition requires
+    that S is a suffix of no image and U a prefix of no image; border_offenders
+    names the images that break it. Witnesses are ordered by (a, b, |V|),
+    suffix side before prefix side, offenders in alphabet order, which is the
+    full lexicographic order.
+    """
+    witnesses = tuple(
+        BorderWitness(a, b, border, stem, tail, side, c)
+        for a, b, border, stem, tail in short_borders(m)
+        for side, c in border_offenders(m, stem, tail)
+    )
     notes: tuple[str, ...] = ()
-    if half == 0:
+    if m.uniform_length() == 1:
         notes = (
             "a 1-uniform morphism admits no border with 1 <= |V| <= floor(n/2);"
             " the condition holds vacuously",
         )
-    return ConditionReport.from_witnesses("border", witnesses, notes)
+    return ConditionReport("border", witnesses, notes)
 
 
 def check_marked_ends(m: Morphism) -> ConditionReport:
@@ -209,7 +211,7 @@ def check_marked_ends(m: Morphism) -> ConditionReport:
             witnesses.append(
                 EndWitness(letters[a_i], letters[b_i], "last", ia.letter(len(ia) - 1))
             )
-    return ConditionReport.from_witnesses("marked-ends", witnesses)
+    return ConditionReport("marked-ends", tuple(witnesses))
 
 
 def check_lemma_consequences(
@@ -231,8 +233,8 @@ def check_lemma_consequences(
         m, [Word(t, m.source) for t in itertools.product(range(k), repeat=2)], PatternKind.OVERLAP
     )
     return (
-        ConditionReport.from_witnesses("single-images", singles, words_checked=k),
-        ConditionReport.from_witnesses("letter-pairs", pairs, words_checked=k * k),
+        ConditionReport("single-images", singles, words_checked=k),
+        ConditionReport("letter-pairs", pairs, words_checked=k * k),
         check_marked_ends(m),
     )
 
@@ -250,7 +252,7 @@ def check_overlap_def(m: Morphism) -> Verdict:
         check_image_triples(m, PatternKind.OVERLAP),
         check_border_condition(m),
     )
-    return Verdict(PatternKind.OVERLAP, all(r.holds for r in reports), reports)
+    return Verdict(PatternKind.OVERLAP, reports)
 
 
 def check_square_def(m: Morphism) -> Verdict:
@@ -262,4 +264,4 @@ def check_square_def(m: Morphism) -> Verdict:
         check_marked_ends(m),
         check_border_condition(m),
     )
-    return Verdict(PatternKind.SQUARE, all(r.holds for r in reports), reports)
+    return Verdict(PatternKind.SQUARE, reports)

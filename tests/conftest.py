@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+from wordmorph import Morphism
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -13,6 +15,26 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+def brute_border_violations(m: Morphism) -> list[tuple[str, str, str]]:
+    # Independent re-derivation over plain strings of every (a, b, V) with
+    # |V| <= floor(n/2) whose S or U matches an image end, deliberately
+    # written differently from the library scan.
+    images = {a: m.image(a).text for a in m.source.letters}
+    n = m.uniform_length()
+    bad = []
+    for a, ia in images.items():
+        for b, ib in images.items():
+            for lv in range(1, n // 2 + 1):
+                if ia[n - lv:] != ib[:lv]:
+                    continue
+                stem, tail = ia[:n - lv], ib[lv:]
+                if any(img.endswith(stem) for img in images.values()) or any(
+                    img.startswith(tail) for img in images.values()
+                ):
+                    bad.append((a, b, ib[:lv]))
+    return bad
 
 
 # Frozen JSON report schema shared by the CLI tests and the acceptance gate.

@@ -13,7 +13,7 @@ import random
 
 import jsonschema
 
-from conftest import REPORT_SCHEMA, run_cli
+from conftest import REPORT_SCHEMA, brute_border_violations, run_cli
 from wordmorph import (
     Alphabet,
     Morphism,
@@ -61,25 +61,6 @@ FROZEN_CATALOG = {
 def _criterion(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _border_scan(m: Morphism) -> list[tuple[str, str, str]]:
-    # From-scratch scan over all borders with |V| <= floor(n/2), independent
-    # of the library's checker.
-    images = {a: m.image(a).text for a in m.source.letters}
-    n = m.uniform_length()
-    bad = []
-    for a, ia in images.items():
-        for b, ib in images.items():
-            for lv in range(1, n // 2 + 1):
-                if ia[n - lv:] != ib[:lv]:
-                    continue
-                stem, tail = ia[:n - lv], ib[lv:]
-                if any(img.endswith(stem) for img in images.values()) or any(
-                    img.startswith(tail) for img in images.values()
-                ):
-                    bad.append((a, b, ib[:lv]))
-    return bad
 
 
 def _mutation_pool() -> list[Morphism]:
@@ -154,9 +135,9 @@ def test_criterion_3_definition_checkers():
         ("f4", False),
         ("g4", False),
     ]:
-        if bool(_border_scan(catalog(name))) != expect_bad:
+        if bool(brute_border_violations(catalog(name))) != expect_bad:
             problems.append(f"independent scan disagrees on {name}")
-    if ("0", "1", "1") not in _border_scan(catalog("thue_morse")):
+    if ("0", "1", "1") not in brute_border_violations(catalog("thue_morse")):
         problems.append("independent scan misses the (0, 1, V=1) border")
     _criterion(
         3,

@@ -386,13 +386,41 @@ def test_explain_misaligned_border_counterexample():
     )
 
 
+def test_explain_border_golden_text():
+    # two short borders with their offenders, and one border longer than
+    # floor(n/2) that the border condition does not cover
+    m = Morphism.from_strings("012", ["bba", "abb", "aab"], target="ab")
+    word = parse_word("0012", m.source)
+    cex = Counterexample(
+        Direction.FORWARD, word, m.apply(word), Occurrence(PatternKind.OVERLAP, 2, 4)
+    )
+    assert explain(m, cex).splitlines() == [
+        "forward overlap counterexample",
+        "  word:  0012 (overlap-free, length 4)",
+        "  image: bbabbaabbaab (length 12)",
+        "  overlap at start 2, period 4: factor abbaabbaa",
+        "  tiles are the 3-letter images; occurrence touches tiles 0..3 (4 of them)",
+        "  mark residues mod 3: r0=2 r1=0 r2=1; case r1<r2<r0",
+        "  shared border V=a (tile suffix of length 1 ending at boundary 3):"
+        " image('0') = S·V with S=bb, image('1') = V·U with U=bb",
+        "    border condition violated: S is a suffix of image('1'); U is a prefix of image('0')",
+        "  shared border V=bb between image('1') and image('0') (tile prefix of length 2"
+        " starting at boundary 3) is longer than floor(n/2)=1;"
+        " outside the border condition's reach",
+        "  shared border V=a (tile suffix of length 1 ending at boundary 6):"
+        " image('0') = S·V with S=bb, image('2') = V·U with U=ab",
+        "    border condition violated: S is a suffix of image('1'); U is a prefix of image('1')",
+    ]
+
+
 _BORDER_LINE = re.compile(r"  shared border V=(\w+) \(.*\): image\('(.)'\) = S·V .* image\('(.)'\) = V·U")
 _HIT = re.compile(r"(S is a suffix|U is a prefix) of image\('(.)'\)")
 
 
 def test_explain_border_hits_follow_checker_witnesses():
     # every border explain lists with |V| <= floor(n/2) names exactly the
-    # checker's witnesses for that (a, b, V), in the checker's order
+    # checker's witnesses for that (a, b, V), in the checker's order; an
+    # explanation that lists borders lists at least one that short
     m = Morphism.from_strings("012", ["bba", "abb", "aab"], target="ab")
     witnesses = check_border_condition(m).witnesses
     side = {"S is a suffix": "stem-suffix", "U is a prefix": "tail-prefix"}
@@ -405,18 +433,22 @@ def test_explain_border_hits_follow_checker_witnesses():
             if occ is None:
                 continue
             lines = explain(m, Counterexample(Direction.FORWARD, word, image, occ)).splitlines()
+            short_here = 0
             for line, nxt in zip(lines, lines[1:]):
                 match = _BORDER_LINE.match(line)
                 if match is None:
                     continue
                 v, a, b = match.groups()
-                borders_seen += 1
+                short_here += 1
                 hits = [(side[s], c) for s, c in _HIT.findall(nxt)]
                 assert hits == [
                     (w.side, w.offender)
                     for w in witnesses
                     if (w.a, w.b, w.border.text) == (a, b, v)
                 ], (word.text, line, nxt)
+            if any(line.startswith("  shared border") for line in lines):
+                assert short_here > 0, word.text
+            borders_seen += short_here
     assert borders_seen > 0
 
 

@@ -587,3 +587,10 @@ def test_readme_has_examples():
 def test_readme_example(command, expected):
     res = run_cli(*shlex.split(command))
     assert _mask_elapsed(res.stdout) == _mask_elapsed(expected)
+
+
+def test_readme_python_example():
+    # the Library map's Python block, run as written
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

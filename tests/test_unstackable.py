@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_border_violations
 from wordmorph import (
     EndWitness,
     Morphism,
@@ -21,7 +22,7 @@ from wordmorph import (
     check_square_def,
     find_pattern,
 )
-from wordmorph.unstackable import pattern_free_triples
+from wordmorph.unstackable import pattern_free_triples, short_borders
 from wordmorph.words import Alphabet, Word
 
 
@@ -29,23 +30,22 @@ def doubling() -> Morphism:
     return Morphism.from_strings("01", ["00", "11"])
 
 
-def brute_border_violations(m: Morphism) -> list[tuple[str, str, str]]:
-    # Independent re-derivation over plain strings, deliberately written
-    # differently from the library scan.
-    images = {a: m.image(a).text for a in m.source.letters}
+def brute_short_borders(m: Morphism) -> list[tuple[str, str, str, str, str]]:
+    # Every (a, b, V, S, U) over plain strings, found by testing each short
+    # prefix of image(b) as a suffix of image(a).
+    images = [(a, m.image(a).text) for a in m.source.letters]
     n = m.uniform_length()
-    bad = []
-    for a, ia in images.items():
-        for b, ib in images.items():
-            for lv in range(1, n // 2 + 1):
-                if ia[n - lv:] != ib[:lv]:
-                    continue
-                stem, tail = ia[:n - lv], ib[lv:]
-                if any(img.endswith(stem) for img in images.values()) or any(
-                    img.startswith(tail) for img in images.values()
-                ):
-                    bad.append((a, b, ib[:lv]))
-    return bad
+    return [
+        (a, b, ib[:lv], ia[:-lv], ib[lv:])
+        for a, ia in images
+        for b, ib in images
+        for lv in range(1, n // 2 + 1)
+        if ia.endswith(ib[:lv])
+    ]
+
+
+def short_border_texts(m: Morphism) -> list[tuple[str, str, str, str, str]]:
+    return [(a, b, v.text, s.text, u.text) for a, b, v, s, u in short_borders(m)]
 
 
 def filtered_triples(alphabet: Alphabet, kind: PatternKind) -> list[Word]:
@@ -122,6 +122,23 @@ def test_border_holds_for_catalog_squares():
 def test_border_requires_uniform():
     with pytest.raises(NonUniformError):
         check_border_condition(Morphism.from_strings("01", ["0", "11"]))
+    with pytest.raises(NonUniformError):
+        list(short_borders(Morphism.from_strings("01", ["0", "11"])))
+
+
+def test_short_borders_match_string_scan_on_catalog():
+    # every short border, with or without an offender, in (a, b, |V|) order
+    for name in catalog_names():
+        m = catalog(name)
+        assert short_border_texts(m) == brute_short_borders(m), name
+    assert short_border_texts(catalog("thue_morse")) == [
+        ("0", "1", "1", "0", "0"),
+        ("1", "0", "0", "1", "1"),
+    ]
+    # leech passes the border condition, so none of its borders has an offender
+    assert [v for _, _, v, _, _ in short_border_texts(catalog("leech"))] == [
+        "0", "01210", "1", "12021", "2", "20102"
+    ]
 
 
 def test_border_one_uniform_is_vacuous():
@@ -231,6 +248,15 @@ def test_border_witness_replay(m):
         else:
             assert m.image(w.offender).text.startswith(w.tail.text)
     assert rep.holds == (not brute_border_violations(m))
+    assert rep.holds == (not rep.witnesses)
+    for verdict in (check_overlap_def(m), check_square_def(m)):
+        assert verdict.passed == all(r.holds for r in verdict.reports)
+
+
+@given(uniform_morphisms())
+@settings(max_examples=60, deadline=None)
+def test_short_borders_match_string_scan(m):
+    assert short_border_texts(m) == brute_short_borders(m)
 
 
 @given(uniform_morphisms(), st.sampled_from([PatternKind.OVERLAP, PatternKind.SQUARE]))
