@@ -93,10 +93,10 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
     occurrence, and since h(child) = h(parent) h(last letter), it inherits
     the parent's image occurrence at the same offset. Only children of
     kind-free parents are scanned. An occurrence at start i with period p in
-    the word maps to one at start |h(w[:i])| with period |h(w[i:i+p])| in
-    the image, for any non-erasing h: XX becomes h(X)h(X), XXX becomes
-    h(X)h(X)h(X), and cXcXc becomes h(cX)h(cX) followed by the first letter
-    of h(c).
+    the word, the prefix of length span(p) = m*p + span(0) of uuu... for
+    u = w[i:i+p], maps under any non-erasing h to one at start |h(w[:i])|
+    with period P = |h(u)|: its image h(u)^m h(u[:span(0)]) begins with the
+    prefix of length m*P + span(0) = span(P) of h(u)h(u)....
 
     Each kind-containing word's image is still built, and the occurrence is
     confirmed on it by a letter comparison in O(span). Only if that fails is
@@ -379,7 +379,7 @@ def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[st
     j0, p = occ.start, occ.period
     q = p % n
     t_tiles = p // n
-    window_end = j0 + p if occ.kind is PatternKind.OVERLAP else j0 + p - 1
+    window_end = j0 + occ.span - p - 1
     exhibited: dict[tuple[str, str, int], str] = {}
     first_boundary = (j0 // n + 1) * n
     for boundary in range(first_boundary, window_end + 1, n):

@@ -185,6 +185,8 @@ def _cmd_iterate(args: argparse.Namespace) -> _Report:
 
 def _cmd_catalog(args: argparse.Namespace) -> _Report:
     if args.action == "list":
+        if args.name is not None:
+            raise ParseError(f"catalog list takes no name, got {args.name!r}")
         return _Report("pass", list(catalog_names()))
     if args.name is None:
         raise ParseError("catalog show needs a name; try: catalog show leech")

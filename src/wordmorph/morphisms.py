@@ -22,6 +22,7 @@ class Morphism:
     images: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "images", tuple(self.images))
         if len(self.images) != len(self.source):
             raise ValueError(
                 f"expected {len(self.source)} images, got {len(self.images)}"

@@ -26,6 +26,7 @@ class Alphabet:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(self.letters))
         if not self.letters:
             raise ValueError("alphabet must contain at least one letter")
         for ch in self.letters:
@@ -67,6 +68,8 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
+        if type(self.symbols) is not tuple:
+            object.__setattr__(self, "symbols", tuple(self.symbols))
         k = len(self.alphabet)
         for s in self.symbols:
             if not 0 <= s < k:
@@ -98,7 +101,11 @@ class Word:
 
 @unique
 class PatternKind(Enum):
-    """The three fixed repetition patterns."""
+    """The three fixed repetition patterns.
+
+    An occurrence of period p >= 1 is a factor of length span(p) whose first
+    span(p) - p letters recur p letters later; span alone tells kinds apart.
+    """
 
     SQUARE = "square"    # XX with |X| >= 1
     OVERLAP = "overlap"  # cXcXc with |X| >= 0
@@ -122,8 +129,8 @@ class PatternKind(Enum):
 class Occurrence:
     """A located pattern instance: kind, start index and period.
 
-    For overlaps the period is |cX| and the span 2*period + 1; for squares and
-    cubes the period is |X| and the span 2*period resp. 3*period.
+    The factor of length span starting at start is the occurrence: its first
+    span - period letters recur period letters later (see PatternKind).
     """
 
     kind: PatternKind
@@ -141,9 +148,12 @@ class Occurrence:
 
     def matches(self, word: Word) -> bool:
         """Re-check the claimed pattern by direct letter comparison."""
-        if self.period < 1 or self.start < 0 or self.start + self.span > len(word):
+        i, p = self.start, self.period
+        span = self.kind.span(p)
+        sym = word.symbols
+        if p < 1 or i < 0 or i + span > len(sym):
             return False
-        return _match_at(word.symbols, self.kind, self.start, self.period)
+        return sym[i:i + span - p] == sym[i + p:i + span]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
@@ -171,15 +181,6 @@ def count_factor(word: Word, factor: Word) -> int:
     return sum(1 for i in range(len(sym) - len(f) + 1) if sym[i:i + len(f)] == f)
 
 
-def _match_at(sym: tuple[int, ...], kind: PatternKind, i: int, p: int) -> bool:
-    # Caller guarantees i + kind.span(p) <= len(sym).
-    if kind is PatternKind.SQUARE:
-        return sym[i:i + p] == sym[i + p:i + 2 * p]
-    if kind is PatternKind.OVERLAP:
-        return sym[i] == sym[i + 2 * p] and sym[i:i + p] == sym[i + p:i + 2 * p]
-    return sym[i:i + p] == sym[i + p:i + 2 * p] == sym[i + 2 * p:i + 3 * p]
-
-
 def find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
     """First occurrence in (span, start) order, or None if the word avoids the kind.
 
@@ -193,9 +194,8 @@ def find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
     positions of letter c, and bit i of eq = OR_c (M_c & (M_c >> p)) is set
     exactly when letters i and i + p are equal. An occurrence of period p
     starts at i exactly when the span(p) - p bits i, i + 1, ... of eq are all
-    set (p for a square, p + 1 for an overlap, 2p for a cube); shift-ANDs
-    with doubling steps leave bit i set only at such starts, and the lowest
-    set bit is the leftmost one.
+    set; shift-ANDs with doubling steps leave bit i set only at such starts,
+    and the lowest set bit is the leftmost one.
     """
     sym = word.symbols
     n = len(sym)
@@ -240,10 +240,10 @@ def _ends_with_pattern(sym: tuple[int, ...], kind: PatternKind) -> bool:
     # short candidate made enumerating g4/f4 overlap-free words to length 6 slower
     # (33 ms -> 61 ms). Spans grow by a fixed step, as in find_pattern.
     n = len(sym)
-    p, span = 1, kind.span(1)
+    p, span = 1, kind.min_span
     growth = kind.span(2) - span
     while span <= n:
-        if _match_at(sym, kind, n - span, p):
+        if sym[n - span:n - p] == sym[n - span + p:]:
             return True
         p += 1
         span += growth

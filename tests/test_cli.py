@@ -212,6 +212,13 @@ def test_catalog_list():
     assert res.stdout.split() == ["thue_morse", "leech", "f4", "g4"]
 
 
+def test_catalog_list_rejects_a_name():
+    res = run_cli("catalog", "list", "leech")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: catalog list takes no name" in res.stderr
+
+
 def test_catalog_show_roundtrip():
     res = run_cli("catalog", "show", "g4")
     assert res.returncode == 0

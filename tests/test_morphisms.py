@@ -46,6 +46,13 @@ def test_validation_errors():
         Morphism(BIN, BIN, (parse_word("0", BIN), tern_word))
 
 
+def test_morphism_from_a_list_of_images_equals_the_catalog_entry():
+    m = catalog("leech")
+    listed = Morphism(m.source, m.target, list(m.images))
+    assert listed.images == m.images
+    assert listed == m and hash(listed) == hash(m)
+
+
 def test_apply_rejects_foreign_word():
     m = Morphism.from_strings("01", ["01", "10"])
     with pytest.raises(ValueError):

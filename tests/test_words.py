@@ -21,22 +21,35 @@ from wordmorph import (
     iterate_prefix,
     parse_word,
 )
-from wordmorph.words import _match_at
 
 BIN = Alphabet.from_string("01")
 TERN = Alphabet.from_string("012")
 LATIN = Alphabet.from_string("abcdefghijklmnopqrstuvwxyz")
 
 
+def occurs_at(sym: tuple[int, ...], kind: PatternKind, i: int, p: int) -> bool:
+    """Whether the pattern with period p starts at i, written out from its definition.
+
+    The caller keeps i, p and the pattern's length inside sym.
+    """
+    head = sym[i:i + p]  # X for squares and cubes, cX for overlaps
+    if kind is PatternKind.SQUARE:
+        written = head + head
+    elif kind is PatternKind.OVERLAP:
+        written = head + head + head[:1]
+    else:
+        written = head + head + head
+    return sym[i:i + len(written)] == written
+
+
 def naive_find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
-    # The former library body: a quadratic scan over (period, start).
+    # A quadratic scan over (period, start), the order of the witness contract.
     sym = word.symbols
     n = len(sym)
     p = 1
     while kind.span(p) <= n:
-        span = kind.span(p)
-        for i in range(n - span + 1):
-            if _match_at(sym, kind, i, p):
+        for i in range(n - kind.span(p) + 1):
+            if occurs_at(sym, kind, i, p):
                 return Occurrence(kind, i, p)
         p += 1
     return None
@@ -81,6 +94,30 @@ def test_word_equality_includes_alphabet():
     assert parse_word("01", BIN) != parse_word("01", TERN)
     assert parse_word("01", BIN) == parse_word("01", Alphabet.from_string("01"))
     assert hash(parse_word("01", BIN)) == hash(parse_word("01", Alphabet.from_string("01")))
+
+
+def test_word_from_a_generator_keeps_its_symbols():
+    word = Word((s for s in (0, 1)), BIN)
+    assert word.symbols == (0, 1)
+    assert word == parse_word("01", BIN)
+
+
+def test_word_from_a_list_is_a_frozen_tuple():
+    symbols = [0, 1]
+    word = Word(symbols, BIN)
+    symbols[0] = 1
+    assert word.symbols == (0, 1)
+    assert word == Word((0, 1), BIN)
+    assert hash(word) == hash(Word((0, 1), BIN))
+
+
+def test_alphabet_from_any_sequence_of_letters():
+    for letters in ("01", ["0", "1"]):
+        alphabet = Alphabet(letters)
+        assert alphabet.letters == ("0", "1")
+        assert alphabet == BIN and hash(alphabet) == hash(BIN)
+    m = catalog("thue_morse")
+    assert m.apply(Word((0, 1), Alphabet("01"))).text == "0110"
 
 
 def test_word_concat():
@@ -165,15 +202,33 @@ def test_extend_check_wants_the_occurrence_at_the_very_end():
     assert extend_check(parse_word("01010", BIN), PatternKind.OVERLAP)
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.sampled_from(list(PatternKind)))
-def test_extend_check_agrees_with_suffix_scan(bits, kind):
-    word = Word(tuple(bits), BIN)
-    expected = any(
-        Occurrence(kind, len(bits) - kind.span(p), p).matches(word)
-        for p in range(1, len(bits) + 1)
-        if kind.span(p) <= len(bits)
-    )
-    assert extend_check(word, kind) == expected
+def test_matches_and_extend_check_agree_with_definitions_exhaustively():
+    # Every word over two letters up to length 12 and over three up to length
+    # 8, and every (start, period) whose pattern fits. Out of range: period 0,
+    # start n, and for each period up to one too long for every kind, the
+    # start one past the last that fits and the start -span(p) - 1, which
+    # slicing would read as a start counted from the end.
+    for k, max_len in ((2, 12), (3, 8)):
+        alphabet = Alphabet.from_string("012"[:k])
+        for n in range(max_len + 1):
+            for kind in PatternKind:
+                pairs = [
+                    (i, p) for p in range(1, n // 2 + 1) for i in range(n - kind.span(p) + 1)
+                ]
+                fits = [Occurrence(kind, i, p) for i, p in pairs]
+                at_end = [i + kind.span(p) == n for i, p in pairs]
+                off = [Occurrence(kind, 0, 0), Occurrence(kind, n, 1)] + [
+                    Occurrence(kind, i, p)
+                    for p in range(1, n // 2 + 2)
+                    for i in (n - kind.span(p) + 1, -kind.span(p) - 1)
+                ]
+                for t in itertools.product(range(k), repeat=n):
+                    word = Word(t, alphabet)
+                    expected = [occurs_at(t, kind, i, p) for i, p in pairs]
+                    assert [o.matches(word) for o in fits] == expected, (t, kind)
+                    assert not any(o.matches(word) for o in off), (t, kind)
+                    ends_with = any(e and end for e, end in zip(expected, at_end))
+                    assert extend_check(word, kind) == ends_with, (t, kind)
 
 
 @given(st.lists(st.integers(0, 2), max_size=14), st.sampled_from(list(PatternKind)))
