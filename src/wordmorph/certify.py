@@ -369,13 +369,16 @@ def _explain_short(word: Word, occ: Occurrence, first_tile: int, last_tile: int)
 
 
 def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[str]:
-    # Inside the repetition window image[t] == image[t + p]; sliding the
-    # piece of a tile that ends (or begins) at a tile boundary B forward by p
-    # lands it against another boundary, exhibiting a shared border V between
-    # the end of image(a) and the start of image(b). Each (a, b, |V|) is
-    # listed once, under the first boundary that exhibits it. Over four or
-    # more tiles the window always exhibits one of length min(q, n - q), so
-    # at least one border is within the border condition's reach.
+    # Inside the repetition window image[i] == image[i + p], p = t*n + q with
+    # t >= 1, 0 < q < n. Sliding the piece of a tile that ends (or begins) at
+    # a boundary B by p lands it against another boundary: a shared border V
+    # between the end of image(a) and the start of image(b), listed once per
+    # (a, b, |V|) under the first boundary that shows it. Over four or more
+    # tiles one has length min(q, n - q) <= floor(n/2), and every short one
+    # is violated: past the first boundary the stem S lies in the window and
+    # recurs p letters away as the end of a whole tile; at the first boundary
+    # the tail U recurs as a whole-tile prefix instead (else the occurrence
+    # touches at most three tiles and _explain_short handles it).
     j0, p = occ.start, occ.period
     q = p % n
     t_tiles = p // n
@@ -418,8 +421,5 @@ def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[st
             else f"U is a prefix of image({c!r})"
             for side, c in border_offenders(m, stem, tail)
         ]
-        if hits:
-            lines.append("    border condition violated: " + "; ".join(hits))
-        else:
-            lines.append("    neither S nor U matches an image end here")
+        lines.append("    border condition violated: " + "; ".join(hits))
     return lines

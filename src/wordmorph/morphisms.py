@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .words import Alphabet, Word, parse_word
 
@@ -62,10 +63,12 @@ class Morphism:
 def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
     """First target_len letters of the fixed point of m on the given seed letter.
 
-    Requires source == target and an image of seed beginning with seed, so
-    every application extends the previous word. Intermediate words are
-    truncated to target_len; non-erasing images keep prefixes coherent, so the
-    truncation never changes the result.
+    Requires source == target and an image of seed beginning with seed. With
+    h = m, the fixed point x then satisfies x = h(x) = h(x[0]) h(x[1]) ..., so
+    one left-to-right pass reads it off itself: start from h(seed) and append
+    h(x[i]) for i = 1, 2, ... Each step reads one letter and writes at least
+    one, so x[i] is always known when it is read. The only stop is
+    h(seed) == seed, which raises once target_len asks for a second letter.
     """
     if m.source != m.target:
         raise ValueError("iteration requires source and target alphabets to match")
@@ -78,18 +81,14 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
             f"morphism is not prolongable on {seed!r}:"
             f" its image begins with {m.source.letters[first]!r}"
         )
-    word: tuple[int, ...] = (s,)
-    while len(word) < target_len:
-        grown: list[int] = []
-        for t in word:
-            grown.extend(m.images[t].symbols)
-            if len(grown) >= target_len:
-                break
-        next_word = tuple(grown[:target_len])
-        if len(next_word) <= len(word):
-            raise ValueError(f"iteration on {seed!r} stops growing at length {len(word)}")
-        word = next_word
-    return Word(word, m.source)
+    word = list(m.images[s].symbols)
+    if len(word) == 1 and target_len > 1:
+        raise ValueError(f"iteration on {seed!r} stops growing at length 1")
+    for letter in islice(word, 1, None):
+        if len(word) >= target_len:
+            break
+        word.extend(m.images[letter].symbols)
+    return Word(tuple(word[:target_len]), m.source)
 
 
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 import sys
 from unittest import mock
@@ -331,6 +332,11 @@ def test_explain_validates_its_input():
     )
     with pytest.raises(ValueError):
         explain(m, bad_occ)
+    cube = Counterexample(
+        Direction.FORWARD, word, m.apply(word), Occurrence(PatternKind.CUBE, 0, 1)
+    )
+    with pytest.raises(ValueError, match="overlap and square counterexamples only"):
+        explain(m, cube)
 
 
 def test_explain_aligned_square_counterexample():
@@ -417,39 +423,73 @@ _BORDER_LINE = re.compile(r"  shared border V=(\w+) \(.*\): image\('(.)'\) = S·
 _HIT = re.compile(r"(S is a suffix|U is a prefix) of image\('(.)'\)")
 
 
+def _check_border_lines(m: Morphism, word: Word, occ: Occurrence, witnesses: tuple) -> int:
+    # every border explain lists with |V| <= floor(n/2) is violated and names
+    # exactly the checker's witnesses for that (a, b, V), in the checker's
+    # order; an explanation that lists borders lists at least one that short.
+    # Returns the number of short borders listed.
+    side = {"S is a suffix": "stem-suffix", "U is a prefix": "tail-prefix"}
+    lines = explain(m, Counterexample(Direction.FORWARD, word, m.apply(word), occ)).splitlines()
+    short_here = 0
+    for line, nxt in zip(lines, lines[1:]):
+        match = _BORDER_LINE.match(line)
+        if match is None:
+            continue
+        v, a, b = match.groups()
+        short_here += 1
+        hits = [(side[s], c) for s, c in _HIT.findall(nxt)]
+        assert hits, (word.text, occ, line, nxt)
+        assert hits == [
+            (w.side, w.offender)
+            for w in witnesses
+            if (w.a, w.b, w.border.text) == (a, b, v)
+        ], (word.text, line, nxt)
+    if any(line.startswith("  shared border") for line in lines):
+        assert short_here > 0, (word.text, occ)
+    return short_here
+
+
 def test_explain_border_hits_follow_checker_witnesses():
-    # every border explain lists with |V| <= floor(n/2) names exactly the
-    # checker's witnesses for that (a, b, V), in the checker's order; an
-    # explanation that lists borders lists at least one that short
     m = Morphism.from_strings("012", ["bba", "abb", "aab"], target="ab")
     witnesses = check_border_condition(m).witnesses
-    side = {"S is a suffix": "stem-suffix", "U is a prefix": "tail-prefix"}
     borders_seen = 0
     for length in range(1, 6):
         for t in itertools.product(range(3), repeat=length):
             word = Word(t, m.source)
-            image = m.apply(word)
-            occ = find_pattern(image, PatternKind.OVERLAP)
-            if occ is None:
-                continue
-            lines = explain(m, Counterexample(Direction.FORWARD, word, image, occ)).splitlines()
-            short_here = 0
-            for line, nxt in zip(lines, lines[1:]):
-                match = _BORDER_LINE.match(line)
-                if match is None:
-                    continue
-                v, a, b = match.groups()
-                short_here += 1
-                hits = [(side[s], c) for s, c in _HIT.findall(nxt)]
-                assert hits == [
-                    (w.side, w.offender)
-                    for w in witnesses
-                    if (w.a, w.b, w.border.text) == (a, b, v)
-                ], (word.text, line, nxt)
-            if any(line.startswith("  shared border") for line in lines):
-                assert short_here > 0, word.text
-            borders_seen += short_here
+            occ = find_pattern(m.apply(word), PatternKind.OVERLAP)
+            if occ is not None:
+                borders_seen += _check_border_lines(m, word, occ, witnesses)
     assert borders_seen > 0
+
+
+def test_explain_border_lines_hold_on_random_uniform_morphisms():
+    # every misaligned square or overlap over four or more tiles, in the
+    # images of sampled words under seeded random uniform morphisms
+    rng = random.Random(2010)
+    explained = borders_seen = 0
+    for _ in range(400):
+        k, n = rng.randint(2, 4), rng.randint(2, 8)
+        letters = "0123"[:k]
+        m = Morphism.from_strings(
+            letters, ["".join(rng.choices(letters, k=n)) for _ in letters]
+        )
+        witnesses = check_border_condition(m).witnesses
+        for _ in range(16):
+            word = Word(tuple(rng.choices(range(k), k=rng.randint(4, 6))), m.source)
+            sym = m.apply(word).symbols
+            for kind, p in itertools.product(
+                (PatternKind.OVERLAP, PatternKind.SQUARE), range(1, len(sym) // 2 + 1)
+            ):
+                if p % n == 0:
+                    continue
+                span = kind.span(p)
+                for i in range(len(sym) - span + 1):
+                    four_tiles = (i + span - 1) // n - i // n >= 3
+                    if four_tiles and sym[i:i + span - p] == sym[i + p:i + span]:
+                        occ = Occurrence(kind, i, p)
+                        explained += 1
+                        borders_seen += _check_border_lines(m, word, occ, witnesses)
+    assert explained > 4000 and borders_seen > 6000, (explained, borders_seen)
 
 
 def test_explain_non_uniform_positions_only():

@@ -121,7 +121,54 @@ def test_iterate_prefix_identity_stops_growing():
     assert iterate_prefix(ident, "0", 1).text == "0"
     with pytest.raises(ValueError) as exc_info:
         iterate_prefix(ident, "0", 2)
-    assert "stops growing" in str(exc_info.value)
+    assert str(exc_info.value) == "iteration on '0' stops growing at length 1"
+    # h(0) == 0 stops on 0, while 1 -> 10 grows through it: 1000...
+    half = Morphism.from_strings("01", ["0", "10"])
+    assert iterate_prefix(half, "0", 1).text == "0"
+    with pytest.raises(ValueError, match=r"^iteration on '0' stops growing at length 1$"):
+        iterate_prefix(half, "0", 2)
+    assert iterate_prefix(half, "1", 1).text == "1"
+    assert iterate_prefix(half, "1", 7).text == "1000000"
+
+
+def naive_iterate(images: dict[str, str], seed: str, target_len: int) -> str:
+    """Apply the images letter by letter, round after round, over plain
+    strings until the word is long enough; raise if a round adds nothing."""
+    word = seed
+    while len(word) < target_len:
+        grown = "".join(images[c] for c in word)
+        if len(grown) == len(word):
+            raise ValueError(f"iteration on {seed!r} stops growing at length {len(word)}")
+        word = grown
+    return word[:target_len]
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    letters = "0123"[:draw(st.integers(1, 4))]
+    seed = draw(st.sampled_from(letters))
+    uniform = draw(st.integers(1, 6)) if draw(st.booleans()) else None
+    images = {}
+    for c in letters:
+        size = uniform or draw(st.integers(1, 6))
+        images[c] = draw(st.text(alphabet=letters, min_size=size, max_size=size))
+    images[seed] = seed + images[seed][1:]
+    return images, seed
+
+
+@given(prolongable_morphisms(), st.integers(1, 500))
+@settings(max_examples=300, deadline=None)
+def test_iterate_prefix_agrees_with_naive_iteration(morphism, target_len):
+    images, seed = morphism
+    m = Morphism.from_strings("".join(images), list(images.values()))
+    try:
+        expected = naive_iterate(images, seed, target_len)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as exc_info:
+            iterate_prefix(m, seed, target_len)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert iterate_prefix(m, seed, target_len).text == expected
 
 
 def test_catalog_frozen_images():
