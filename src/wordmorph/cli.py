@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .certify import Direction, SearchResult, search_backward, search_forward
+from .certify import Direction, search_backward, search_forward
 from .morphfile import format_morphism_file, parse_morphism_file
 from .morphisms import Morphism, catalog, catalog_names, iterate_prefix
 from .unstackable import (
@@ -137,26 +137,25 @@ def _cmd_certify(args: argparse.Namespace) -> _Report:
     m = load_morphism(args.morphism)
     kind = PatternKind(args.pattern)
     directions = tuple(Direction) if args.direction == "both" else (Direction(args.direction),)
-    results: list[SearchResult] = []
-    for direction in directions:
-        search = search_forward if direction is Direction.FORWARD else search_backward
-        result = search(m, kind, args.max_len)
-        results.append(result)
-        if result.counterexample is not None:
-            break
     lines = []
-    for result in results:
-        role = "free" if result.direction is Direction.FORWARD else "containing"
+    total = 0
+    for direction in directions:
+        if direction is Direction.FORWARD:
+            result, role = search_forward(m, kind, args.max_len), "free"
+        else:
+            result, role = search_backward(m, kind, args.max_len), "containing"
         lines.append(
-            f"{result.direction.value}: checked {result.words_checked}"
+            f"{direction.value}: checked {result.words_checked}"
             f" {kind.value}-{role} word(s) up to length {result.max_len}"
         )
         for length in sorted(result.checked_by_length):
             count = result.checked_by_length[length]
             if count:
                 lines.append(f"  length {length}: {count}")
-    total = sum(r.words_checked for r in results)
-    cex = next((r.counterexample for r in results if r.counterexample), None)
+        total += result.words_checked
+        cex = result.counterexample
+        if cex is not None:
+            break
     if cex is None:
         lines.append("no counterexample found")
         return _Report("none", lines, None, total, args.max_len)
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pattern",
         required=True,
-        choices=[PatternKind.OVERLAP.value, PatternKind.SQUARE.value, PatternKind.CUBE.value],
+        choices=[k.value for k in PatternKind],
         help="pattern whose preservation is certified",
     )
     p.add_argument("--max-len", type=int, required=True, help="word length bound")
@@ -297,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(json.dumps(out))
         else:
             print("\n".join(report.lines))
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return _EXIT_CODES[report.verdict]

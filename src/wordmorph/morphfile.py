@@ -1,16 +1,14 @@
 """Plain-text morphism files.
 
 The format is line oriented. '#' starts a comment (to end of line) and blank
-lines are ignored. The first meaningful line must be the header
+lines are ignored. Two headers come before any rule, in either order, and
+each appears at most once:
 
     alphabet: <letters>
-
-optionally followed by
-
     target: <letters>
 
-(default: same as the alphabet). After the headers, exactly one rule per
-source letter:
+The alphabet header is required; the target header is optional (default:
+same as the alphabet). After the headers, exactly one rule per source letter:
 
     <letter> -> <image>
 
@@ -24,34 +22,29 @@ from __future__ import annotations
 from .morphisms import Morphism
 from .words import Alphabet, ParseError, parse_word
 
+# header key -> what its value names in the "empty ..." message
+_HEADERS = {"alphabet": "alphabet", "target": "target alphabet"}
+
 
 def parse_morphism_file(text: str) -> Morphism:
     """Parse the file format above; ParseError carries the offending line."""
-    source_letters: str | None = None
-    target_letters: str | None = None
+    headers: dict[str, str] = {}
     rules: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("alphabet:"):
-            if source_letters is not None:
-                raise ParseError(f"line {lineno}: duplicate alphabet line")
+        key, colon, value = line.partition(":")
+        if colon and key in _HEADERS:
+            if key in headers:
+                raise ParseError(f"line {lineno}: duplicate {key} line")
             if rules:
-                raise ParseError(f"line {lineno}: alphabet line must precede the rules")
-            source_letters = line[len("alphabet:"):].strip()
-            if not source_letters:
-                raise ParseError(f"line {lineno}: empty alphabet")
-        elif line.startswith("target:"):
-            if target_letters is not None:
-                raise ParseError(f"line {lineno}: duplicate target line")
-            if rules:
-                raise ParseError(f"line {lineno}: target line must precede the rules")
-            target_letters = line[len("target:"):].strip()
-            if not target_letters:
-                raise ParseError(f"line {lineno}: empty target alphabet")
+                raise ParseError(f"line {lineno}: {key} line must precede the rules")
+            headers[key] = value.strip()
+            if not headers[key]:
+                raise ParseError(f"line {lineno}: empty {_HEADERS[key]}")
         elif "->" in line:
-            if source_letters is None:
+            if "alphabet" not in headers:
                 raise ParseError(f"line {lineno}: rule before the alphabet line")
             left, right = line.split("->", 1)
             letter = left.strip()
@@ -59,7 +52,7 @@ def parse_morphism_file(text: str) -> Morphism:
                 raise ParseError(
                     f"line {lineno}: rule must map a single letter, got {letter!r}"
                 )
-            if letter not in source_letters:
+            if letter not in headers["alphabet"]:
                 raise ParseError(
                     f"line {lineno}: rule for {letter!r}, which is not in the alphabet"
                 )
@@ -71,11 +64,11 @@ def parse_morphism_file(text: str) -> Morphism:
                 f"line {lineno}: expected 'alphabet:', 'target:' or"
                 f" '<letter> -> <image>', got {line!r}"
             )
-    if source_letters is None:
+    if "alphabet" not in headers:
         raise ParseError("missing 'alphabet:' line")
     try:
-        source = Alphabet.from_string(source_letters)
-        target = source if target_letters is None else Alphabet.from_string(target_letters)
+        source = Alphabet.from_string(headers["alphabet"])
+        target = Alphabet.from_string(headers["target"]) if "target" in headers else source
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     missing = [ch for ch in source.letters if ch not in rules]

@@ -201,17 +201,13 @@ def check_border_condition(m: Morphism) -> ConditionReport:
 def check_marked_ends(m: Morphism) -> ConditionReport:
     """Images of distinct letters must begin with distinct letters and end with
     distinct letters."""
-    witnesses: list[Witness] = []
-    letters = m.source.letters
-    for a_i, b_i in itertools.combinations(range(len(letters)), 2):
-        ia, ib = m.images[a_i], m.images[b_i]
-        if ia.symbols[0] == ib.symbols[0]:
-            witnesses.append(EndWitness(letters[a_i], letters[b_i], "first", ia.letter(0)))
-        if ia.symbols[-1] == ib.symbols[-1]:
-            witnesses.append(
-                EndWitness(letters[a_i], letters[b_i], "last", ia.letter(len(ia) - 1))
-            )
-    return ConditionReport("marked-ends", tuple(witnesses))
+    witnesses = tuple(
+        EndWitness(a, b, end, ia.letter(i))
+        for (a, ia), (b, ib) in itertools.combinations(zip(m.source.letters, m.images), 2)
+        for end, i in (("first", 0), ("last", -1))
+        if ia.symbols[i] == ib.symbols[i]
+    )
+    return ConditionReport("marked-ends", witnesses)
 
 
 def check_lemma_consequences(
@@ -239,6 +235,13 @@ def check_lemma_consequences(
     )
 
 
+def _bundle(m: Morphism, kind: PatternKind, *conditions) -> Verdict:
+    """The kind's image triples, then each of conditions, on a uniform morphism."""
+    if m.uniform_length() is None:
+        raise NonUniformError(f"the {kind.value} conditions apply to uniform morphisms")
+    return Verdict(kind, (check_image_triples(m, kind), *(check(m) for check in conditions)))
+
+
 def check_overlap_def(m: Morphism) -> Verdict:
     """Full overlap bundle: image triples plus the border condition.
 
@@ -246,22 +249,9 @@ def check_overlap_def(m: Morphism) -> Verdict:
     in both directions; see the certify module for the brute-force
     cross-check.
     """
-    if m.uniform_length() is None:
-        raise NonUniformError("the overlap conditions apply to uniform morphisms")
-    reports = (
-        check_image_triples(m, PatternKind.OVERLAP),
-        check_border_condition(m),
-    )
-    return Verdict(PatternKind.OVERLAP, reports)
+    return _bundle(m, PatternKind.OVERLAP, check_border_condition)
 
 
 def check_square_def(m: Morphism) -> Verdict:
     """Full square bundle: image triples, marked ends and the border condition."""
-    if m.uniform_length() is None:
-        raise NonUniformError("the square conditions apply to uniform morphisms")
-    reports = (
-        check_image_triples(m, PatternKind.SQUARE),
-        check_marked_ends(m),
-        check_border_condition(m),
-    )
-    return Verdict(PatternKind.SQUARE, reports)
+    return _bundle(m, PatternKind.SQUARE, check_marked_ends, check_border_condition)

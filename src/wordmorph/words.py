@@ -77,7 +77,8 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(self.alphabet.letters[s] for s in self.symbols)
+        letters = self.alphabet.letters
+        return "".join([letters[s] for s in self.symbols])
 
     def __str__(self) -> str:
         return self.text

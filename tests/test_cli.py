@@ -164,9 +164,12 @@ def test_certify_max_len_minimum():
     ],
 )
 def test_certify_max_len_below_pattern_message(pattern, max_len, message):
+    # with --direction both the forward search runs before backward raises;
+    # no partial report reaches stdout
     res = run_cli("certify", "leech", "--pattern", pattern, "--max-len", max_len)
     assert res.returncode == 2
     assert res.stderr == message
+    assert res.stdout == ""
 
 
 def test_certify_backward_only():
@@ -175,8 +178,27 @@ def test_certify_backward_only():
         "--direction", "backward",
     )
     assert res.returncode == 0
-    assert "forward" not in res.stdout
-    assert "backward: checked" in res.stdout
+    assert res.stdout == (
+        "backward: checked 26 overlap-containing word(s) up to length 5\n"
+        "  length 3: 2\n"
+        "  length 4: 6\n"
+        "  length 5: 18\n"
+        "no counterexample found\n"
+    )
+    res = run_cli(
+        "certify", "thue_morse", "--pattern", "overlap", "--max-len", "5",
+        "--direction", "forward",
+    )
+    assert res.returncode == 0
+    assert res.stdout == (
+        "forward: checked 36 overlap-free word(s) up to length 5\n"
+        "  length 1: 2\n"
+        "  length 2: 4\n"
+        "  length 3: 6\n"
+        "  length 4: 10\n"
+        "  length 5: 14\n"
+        "no counterexample found\n"
+    )
 
 
 def test_apply():
@@ -241,24 +263,48 @@ def test_usage_error_exit_code():
     assert res.returncode == 2
 
 
-def test_morphism_file_parse_errors(tmp_path):
+def test_morphism_file_parse_errors(tmp_path, capsys):
     cases = [
-        "0 -> 01\n",  # rule before (and without) the alphabet line
-        "alphabet: 01\n0 -> 01\n",  # missing rule for 1
-        "alphabet: 01\n0 -> 01\n0 -> 0\n1 -> 1\n",  # duplicate rule
-        "alphabet: 01\n0 -> 0\n1 ->\n",  # erasing rule
-        "alphabet: 01\n0 -> 02\n1 -> 1\n",  # image letter outside the alphabet
-        "alphabet: 011\n0 -> 0\n1 -> 1\n",  # duplicate alphabet letters
-        "alphabet: 01\nbogus line\n0 -> 0\n1 -> 1\n",  # unparseable line
-        "alphabet: 01\n0 -> 0\n1 -> 1\n2 -> 2\n",  # rule for unknown letter
-        "alphabet: 01\nalphabet: 01\n0 -> 0\n1 -> 1\n",  # duplicate header
+        ("alphabet: 01\nalphabet: 01\n0 -> 0\n1 -> 1\n", "line 2: duplicate alphabet line"),
+        # a second alphabet line after a rule is still reported as a duplicate
+        ("alphabet: 01\n0 -> 0\nalphabet: 01\n1 -> 1\n", "line 3: duplicate alphabet line"),
+        ("alphabet:  # nothing\n0 -> 0\n", "line 1: empty alphabet"),
+        ("alphabet: 01\ntarget: ab\ntarget: ab\n0 -> a\n1 -> b\n", "line 3: duplicate target line"),
+        ("alphabet: 01\ntarget:\n0 -> 0\n1 -> 1\n", "line 2: empty target alphabet"),
+        (
+            "alphabet: 01\n0 -> 0\ntarget: 01\n1 -> 1\n",
+            "line 3: target line must precede the rules",
+        ),
+        ("0 -> 01\n", "line 1: rule before the alphabet line"),
+        ("alphabet: 01\n01 -> 0\n", "line 2: rule must map a single letter, got '01'"),
+        (
+            "alphabet: 01\n0 -> 0\n1 -> 1\n2 -> 2\n",
+            "line 4: rule for '2', which is not in the alphabet",
+        ),
+        ("alphabet: 01\n0 -> 01\n0 -> 0\n1 -> 1\n", "line 3: duplicate rule for '0'"),
+        (
+            "alphabet: 01\nbogus line\n0 -> 0\n1 -> 1\n",
+            "line 2: expected 'alphabet:', 'target:' or '<letter> -> <image>', got 'bogus line'",
+        ),
+        ("# only a comment\n\n", "missing 'alphabet:' line"),
+        ("alphabet: 011\n0 -> 0\n1 -> 1\n", "letters must be distinct, got '011'"),
+        ("alphabet: 0 1\n0 -> 0\n1 -> 1\n", "letters must be printable and non-blank, got ' '"),
+        ("alphabet: 01\n0 -> 01\n", "missing rule for letter(s): '1'"),
+        ("alphabet: 01\n0 -> 0\n1 ->\n", "line 3: empty image for '1' (erasing rule)"),
+        (
+            "alphabet: 01\n0 -> 02\n1 -> 1\n",
+            "line 2: character '2' at position 1 is not in alphabet '01'",
+        ),
     ]
-    for i, text in enumerate(cases):
+    for i, (text, message) in enumerate(cases):
         f = tmp_path / f"bad{i}.txt"
         f.write_text(text)
-        res = run_cli("check-morphism", str(f), "--def", "overlap")
-        assert res.returncode == 2, f"case {i}: {text!r} -> {res.stderr}"
-        assert res.stderr.startswith("error:")
+        assert cli.main(["check-morphism", str(f), "--def", "overlap"]) == 2, text
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), text
+    # the headers may come in either order
+    m = parse_morphism_file("target: ab\nalphabet: 01\n0 -> ab\n1 -> ba\n")
+    assert m == Morphism.from_strings("01", ["ab", "ba"], target="ab")
 
 
 def test_morphism_file_comments_and_target(tmp_path):
@@ -601,3 +647,16 @@ def test_readme_python_example():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["check-word"], ["check-morphism"], ["certify"], ["apply"], ["iterate"], ["catalog"]],
+)
+def test_help_renders(command, capsys):
+    # argparse %-formats help strings only when it renders them
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['wordmorph', *command])} ")

@@ -162,6 +162,13 @@ def test_marked_ends():
     rep = check_marked_ends(Morphism.from_strings("01", ["01", "11"]))
     assert not rep.holds
     assert rep.witnesses == (EndWitness("0", "1", "last", "1"),)
+    # pair by pair, first end before last end
+    rep = check_marked_ends(Morphism.from_strings("0123", ["012", "002", "321", "320"]))
+    assert rep.witnesses == (
+        EndWitness("0", "1", "first", "0"),
+        EndWitness("0", "1", "last", "2"),
+        EndWitness("2", "3", "first", "3"),
+    )
 
 
 def test_lemma_consequences_hold_for_thue_morse():
@@ -198,7 +205,8 @@ def test_overlap_def_verdicts():
     assert v.reports[0].holds and not v.reports[1].holds
     assert check_overlap_def(catalog("f4")).passed
     assert check_overlap_def(catalog("g4")).passed
-    with pytest.raises(NonUniformError):
+    message = "^the overlap conditions apply to uniform morphisms$"
+    with pytest.raises(NonUniformError, match=message):
         check_overlap_def(Morphism.from_strings("01", ["0", "11"]))
 
 
@@ -209,7 +217,8 @@ def test_square_def_verdicts():
     assert [r.condition for r in v.reports] == ["square-triples", "marked-ends", "border"]
     assert check_square_def(Morphism.from_strings("012", ["0", "1", "2"])).passed
     assert not check_square_def(doubling()).passed
-    with pytest.raises(NonUniformError):
+    message = "^the square conditions apply to uniform morphisms$"
+    with pytest.raises(NonUniformError, match=message):
         check_square_def(Morphism.from_strings("01", ["0", "11"]))
 
 
