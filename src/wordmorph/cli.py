@@ -58,11 +58,12 @@ def load_morphism(ref: str) -> Morphism:
 
     An existing file shadows the catalog entry of the same spelling: a file
     named g4 in the working directory is loaded instead of catalog("g4"). A
-    directory shadows nothing. Pipes such as /dev/stdin count as files.
+    directory shadows nothing. Pipes such as /dev/stdin count as files. Files
+    are read as UTF-8; a leading byte-order mark is skipped.
     """
     path = Path(ref)
     if path.exists() and not path.is_dir():
-        return parse_morphism_file(path.read_text(encoding="utf-8"))
+        return parse_morphism_file(path.read_text(encoding="utf-8-sig"))
     if ref in catalog_names():
         return catalog(ref)
     raise ParseError(f"no such morphism file or catalog name: {ref}")

@@ -15,77 +15,69 @@ same as the alphabet). After the headers, exactly one rule per source letter:
 Letters are single characters and the alphabet line fixes their order.
 Since '#' starts a comment, '#' cannot be a letter in a file.
 format_morphism_file and parse_morphism_file round-trip.
+
+Each line is checked completely as it is read, so a ParseError names the
+first faulty line ("line N: ..."); a missing alphabet line or missing rules
+are reported only when no line is at fault. The CLI skips a leading UTF-8
+byte-order mark.
 """
 
 from __future__ import annotations
 
 from .morphisms import Morphism
-from .words import Alphabet, ParseError, parse_word
+from .words import Alphabet, ParseError, Word, parse_word
 
 # header key -> what its value names in the "empty ..." message
 _HEADERS = {"alphabet": "alphabet", "target": "target alphabet"}
 
 
 def parse_morphism_file(text: str) -> Morphism:
-    """Parse the file format above; ParseError carries the offending line."""
-    headers: dict[str, str] = {}
-    rules: dict[str, tuple[int, str]] = {}
+    """Parse the file format above; ParseError names the first faulty line."""
+    headers: dict[str, Alphabet] = {}
+    images: dict[str, Word] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, colon, value = line.partition(":")
-        if colon and key in _HEADERS:
-            if key in headers:
-                raise ParseError(f"line {lineno}: duplicate {key} line")
-            if rules:
-                raise ParseError(f"line {lineno}: {key} line must precede the rules")
-            headers[key] = value.strip()
-            if not headers[key]:
-                raise ParseError(f"line {lineno}: empty {_HEADERS[key]}")
-        elif "->" in line:
-            if "alphabet" not in headers:
-                raise ParseError(f"line {lineno}: rule before the alphabet line")
-            left, right = line.split("->", 1)
-            letter = left.strip()
-            if len(letter) != 1:
+        try:
+            key, colon, value = line.partition(":")
+            if colon and key in _HEADERS:
+                if key in headers:
+                    raise ParseError(f"duplicate {key} line")
+                if images:
+                    raise ParseError(f"{key} line must precede the rules")
+                if not value.strip():
+                    raise ParseError(f"empty {_HEADERS[key]}")
+                headers[key] = Alphabet.from_string(value.strip())
+            elif "->" in line:
+                if "alphabet" not in headers:
+                    raise ParseError("rule before the alphabet line")
+                letter, image = (part.strip() for part in line.split("->", 1))
+                if len(letter) != 1:
+                    raise ParseError(f"rule must map a single letter, got {letter!r}")
+                if letter not in headers["alphabet"]:
+                    raise ParseError(f"rule for {letter!r}, which is not in the alphabet")
+                if letter in images:
+                    raise ParseError(f"duplicate rule for {letter!r}")
+                if not image:
+                    raise ParseError(f"empty image for {letter!r} (erasing rule)")
+                images[letter] = parse_word(image, headers.get("target", headers["alphabet"]))
+            else:
                 raise ParseError(
-                    f"line {lineno}: rule must map a single letter, got {letter!r}"
+                    "expected 'alphabet:', 'target:' or '<letter> -> <image>',"
+                    f" got {line!r}"
                 )
-            if letter not in headers["alphabet"]:
-                raise ParseError(
-                    f"line {lineno}: rule for {letter!r}, which is not in the alphabet"
-                )
-            if letter in rules:
-                raise ParseError(f"line {lineno}: duplicate rule for {letter!r}")
-            rules[letter] = (lineno, right.strip())
-        else:
-            raise ParseError(
-                f"line {lineno}: expected 'alphabet:', 'target:' or"
-                f" '<letter> -> <image>', got {line!r}"
-            )
+        except ValueError as exc:
+            position = getattr(exc, "position", None)
+            raise ParseError(f"line {lineno}: {exc}", position=position) from None
     if "alphabet" not in headers:
         raise ParseError("missing 'alphabet:' line")
-    try:
-        source = Alphabet.from_string(headers["alphabet"])
-        target = Alphabet.from_string(headers["target"]) if "target" in headers else source
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    missing = [ch for ch in source.letters if ch not in rules]
+    source = headers["alphabet"]
+    missing = [ch for ch in source.letters if ch not in images]
     if missing:
-        raise ParseError(
-            "missing rule for letter(s): " + ", ".join(repr(ch) for ch in missing)
-        )
-    images = []
-    for ch in source.letters:
-        lineno, image_text = rules[ch]
-        if not image_text:
-            raise ParseError(f"line {lineno}: empty image for {ch!r} (erasing rule)")
-        try:
-            images.append(parse_word(image_text, target))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}", position=exc.position) from None
-    return Morphism(source, target, tuple(images))
+        raise ParseError("missing rule for letter(s): " + ", ".join(map(repr, missing)))
+    target = headers.get("target", source)
+    return Morphism(source, target, tuple(images[ch] for ch in source.letters))
 
 
 def format_morphism_file(m: Morphism, comment: str | None = None) -> str:

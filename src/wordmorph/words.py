@@ -159,16 +159,16 @@ class Occurrence:
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Map text to a Word, one letter per character."""
-    symbols = []
-    for pos, ch in enumerate(text):
-        if ch not in alphabet:
-            raise ParseError(
-                f"character {ch!r} at position {pos} is not in alphabet"
-                f" {''.join(alphabet.letters)!r}",
-                position=pos,
-            )
-        symbols.append(alphabet.letters.index(ch))
-    return Word(tuple(symbols), alphabet)
+    index = {ch: i for i, ch in enumerate(alphabet.letters)}
+    try:
+        return Word(tuple([index[ch] for ch in text]), alphabet)
+    except KeyError as exc:
+        pos = text.index(exc.args[0])  # the first foreign character fails first
+    raise ParseError(
+        f"character {text[pos]!r} at position {pos} is not in alphabet"
+        f" {''.join(alphabet.letters)!r}",
+        position=pos,
+    )
 
 
 def count_factor(word: Word, factor: Word) -> int:

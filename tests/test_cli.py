@@ -9,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPORT_SCHEMA, run_cli
 from wordmorph import cli, unstackable
@@ -287,8 +289,11 @@ def test_morphism_file_parse_errors(tmp_path, capsys):
             "line 2: expected 'alphabet:', 'target:' or '<letter> -> <image>', got 'bogus line'",
         ),
         ("# only a comment\n\n", "missing 'alphabet:' line"),
-        ("alphabet: 011\n0 -> 0\n1 -> 1\n", "letters must be distinct, got '011'"),
-        ("alphabet: 0 1\n0 -> 0\n1 -> 1\n", "letters must be printable and non-blank, got ' '"),
+        ("alphabet: 011\n0 -> 0\n1 -> 1\n", "line 1: letters must be distinct, got '011'"),
+        (
+            "alphabet: 0 1\n0 -> 0\n1 -> 1\n",
+            "line 1: letters must be printable and non-blank, got ' '",
+        ),
         ("alphabet: 01\n0 -> 01\n", "missing rule for letter(s): '1'"),
         ("alphabet: 01\n0 -> 0\n1 ->\n", "line 3: empty image for '1' (erasing rule)"),
         (
@@ -305,6 +310,47 @@ def test_morphism_file_parse_errors(tmp_path, capsys):
     # the headers may come in either order
     m = parse_morphism_file("target: ab\nalphabet: 01\n0 -> ab\n1 -> ba\n")
     assert m == Morphism.from_strings("01", ["ab", "ba"], target="ab")
+
+
+def test_morphism_file_reports_first_faulty_line():
+    # each line is checked completely when it is read, so a fault on an
+    # earlier line wins over a missing rule and over any later fault
+    cases = [
+        # a missing rule (for '1') is reported only when no line is at fault
+        ("alphabet: 01\n0 -> 0x\n", "line 2: character 'x' at position 1 is not in alphabet '01'"),
+        ("alphabet: 011\n2 -> 0\n", "line 1: letters must be distinct, got '011'"),
+        (
+            "alphabet: 01\n1 -> 1x\n0 ->\n",
+            "line 2: character 'x' at position 1 is not in alphabet '01'",
+        ),
+        ("alphabet: 01\n0 ->\nbogus\n", "line 2: empty image for '0' (erasing rule)"),
+        (
+            "alphabet: 01\n0 -> 2\n0 -> 0\n",
+            "line 2: character '2' at position 0 is not in alphabet '01'",
+        ),
+        (
+            "target: a a\nalphabet: 011\n0 -> a\n1 -> a\n",
+            "line 1: letters must be printable and non-blank, got ' '",
+        ),
+        # a second rule for a letter is refused before its image is read
+        ("alphabet: 01\n0 -> 0\n0 ->\n1 -> 1\n", "line 3: duplicate rule for '0'"),
+        # the image is parsed against the target known on its line
+        (
+            "alphabet: 01\ntarget: ab\n1 -> 0\n0 ->\n",
+            "line 3: character '0' at position 0 is not in alphabet 'ab'",
+        ),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as exc_info:
+            parse_morphism_file(text)
+        assert str(exc_info.value) == message, text
+
+
+def test_morphism_file_accepts_a_byte_order_mark(tmp_path, capsys):
+    f = tmp_path / "bom.txt"
+    f.write_bytes(b"\xef\xbb\xbfalphabet: 01\n0 -> 01\n1 -> 10\n")
+    assert cli.main(["apply", str(f), "01"]) == 0
+    assert capsys.readouterr() == ("0110\n", "")
 
 
 def test_morphism_file_comments_and_target(tmp_path):
@@ -325,6 +371,27 @@ def test_format_parse_roundtrip_in_process():
     assert "target: ab" in text
     assert text.startswith("# two lines\n# of comment\n")
     assert parse_morphism_file(text) == m
+
+
+# printable, non-blank and not '#', with the format's own ':', '-' and '>'
+# drawn often; st.characters reaches non-ASCII letters
+FILE_LETTERS = st.sampled_from(":->") | st.characters(exclude_characters="#").filter(
+    lambda ch: ch.isprintable() and not ch.isspace()
+)
+
+
+@st.composite
+def file_morphisms(draw):
+    source = draw(st.lists(FILE_LETTERS, min_size=1, max_size=4, unique=True))
+    target = draw(st.just(source) | st.lists(FILE_LETTERS, min_size=1, max_size=4, unique=True))
+    images = [draw(st.text(st.sampled_from(target), min_size=1, max_size=5)) for _ in source]
+    return Morphism.from_strings("".join(source), images, target="".join(target))
+
+
+@given(file_morphisms())
+@settings(max_examples=300, deadline=None)
+def test_format_parse_roundtrip_random(m):
+    assert parse_morphism_file(format_morphism_file(m)) == m
 
 
 def test_format_rejects_comment_letter():
@@ -385,6 +452,13 @@ def test_parse_morphism_file_error_reports_line():
         parse_morphism_file("alphabet: 01\n0 -> 0x\n1 -> 1\n")
     assert "line 2" in str(exc_info.value)
     assert "'x'" in str(exc_info.value)
+    # the image's ParseError.position passes through; header errors have none
+    with pytest.raises(ParseError) as exc_info:
+        parse_morphism_file("alphabet: 01\n0 -> 02\n1 -> 1\n")
+    assert exc_info.value.position == 1
+    with pytest.raises(ParseError) as exc_info:
+        parse_morphism_file("alphabet: 011\n0 -> 0\n1 -> 1\n")
+    assert exc_info.value.position is None
 
 
 # -- golden output -------------------------------------------------------------

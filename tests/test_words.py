@@ -90,6 +90,31 @@ def test_parse_word_rejects_foreign_characters():
     assert exc_info.value.position == 3
 
 
+LETTERS = st.characters().filter(lambda ch: ch.isprintable() and not ch.isspace())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_word_matches_a_plain_oracle(data):
+    letters = data.draw(st.lists(LETTERS, min_size=1, max_size=5, unique=True))
+    text = data.draw(st.lists(st.sampled_from(letters), max_size=20))
+    for pos, ch in data.draw(st.lists(st.tuples(st.integers(0, 20), st.characters()), max_size=2)):
+        text.insert(pos, ch)  # sometimes a foreign character, anywhere
+    text = "".join(text)
+    alphabet = Alphabet(tuple(letters))
+    foreign = [pos for pos, ch in enumerate(text) if ch not in letters]
+    if not foreign:
+        assert parse_word(text, alphabet).symbols == tuple(letters.index(ch) for ch in text)
+        return
+    with pytest.raises(ParseError) as exc_info:
+        parse_word(text, alphabet)
+    pos = foreign[0]
+    assert str(exc_info.value) == (
+        f"character {text[pos]!r} at position {pos} is not in alphabet {''.join(letters)!r}"
+    )
+    assert exc_info.value.position == pos
+
+
 def test_word_equality_includes_alphabet():
     assert parse_word("01", BIN) != parse_word("01", TERN)
     assert parse_word("01", BIN) == parse_word("01", Alphabet.from_string("01"))
