@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wordmorph import (
     AlignmentCase,
+    Alphabet,
     Counterexample,
     Direction,
     Morphism,
@@ -153,6 +154,165 @@ CATALOG_BACKWARD_DEPTHS = {"thue_morse": 10, "leech": 6, "f4": 5, "g4": 5}
 @pytest.mark.parametrize("name", sorted(CATALOG_BACKWARD_DEPTHS))
 def test_backward_matches_naive_search_on_catalog(name, kind):
     assert_same_backward_search(catalog(name), kind, CATALOG_BACKWARD_DEPTHS[name])
+
+
+def naive_search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
+    # The former library body: every kind-free word, all first letters.
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    checked = {length: 0 for length in range(1, max_len + 1)}
+    cex = None
+    for w in enumerate_pattern_free(m.source, kind, max_len):
+        checked[len(w)] += 1
+        image = m.apply(w)
+        occ = find_pattern(image, kind)
+        if occ is not None:
+            cex = Counterexample(Direction.FORWARD, w, image, occ)
+            break
+    return SearchResult(Direction.FORWARD, kind, max_len, cex, checked)
+
+
+def assert_same_forward_search(m: Morphism, kind: PatternKind, max_len: int) -> None:
+    fast = search_forward(m, kind, max_len)
+    naive = naive_search_forward(m, kind, max_len)
+    assert fast.checked_by_length == naive.checked_by_length
+    assert fast.counterexample == naive.counterexample
+
+
+CATALOG_FORWARD_DEPTHS = {"thue_morse": 10, "leech": 6, "f4": 4, "g4": 4}
+
+
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", sorted(CATALOG_FORWARD_DEPTHS))
+def test_forward_matches_naive_search_on_catalog(name, kind):
+    assert_same_forward_search(catalog(name), kind, CATALOG_FORWARD_DEPTHS[name])
+
+
+def all_commuting_permutations(m: Morphism) -> list[tuple[int, ...]]:
+    # Every letter permutation sigma with h(sigma(a)) = sigma(h(a)), by
+    # trying all k! of them.
+    images = [im.symbols for im in m.images]
+    return [
+        sigma
+        for sigma in itertools.permutations(range(len(images)))
+        if all(
+            images[sigma[a]] == tuple(sigma[x] for x in im)
+            for a, im in enumerate(images)
+        )
+    ]
+
+
+def relabelled_morphism(images: list[list[int]], p) -> Morphism:
+    # The morphism with letter a renamed p[a] throughout, over 0, 1, ...
+    renamed = [None] * len(images)
+    for a, im in enumerate(images):
+        renamed[p[a]] = [p[x] for x in im]
+    letters = "012345"[:len(images)]
+    return Morphism.from_strings(letters, ["".join(letters[x] for x in im) for im in renamed])
+
+
+@st.composite
+def latin_square_morphisms(draw, max_k=6):
+    # h(i) = sigma^i(h(0)) for the shift sigma(a) = a + 1 mod k, relabelled
+    # by a drawn permutation half of the time, so that letter 0 need not be
+    # special and the commuting permutations need not be shifts.
+    k = draw(st.integers(2, max_k))
+    h0 = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=7))
+    images = [[(x + i) % k for x in h0] for i in range(k)]
+    p = draw(st.permutations(range(k))) if draw(st.booleans()) else range(k)
+    return relabelled_morphism(images, p)
+
+
+@st.composite
+def block_morphisms(draw):
+    # Disjoint copies of small Latin-square morphisms with one image length,
+    # relabelled: one orbit when all copies are alike, often several when
+    # they differ, and letter 0 reaches only its own copy either way.
+    size = draw(st.integers(1, 3))
+    blocks = draw(st.integers(2, 6 // size))
+    n = draw(st.integers(1, 3))
+    first = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    images = []
+    for j in range(blocks):
+        h0 = first if draw(st.booleans()) else draw(
+            st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+        )
+        images += [[j * size + (x + i) % size for x in h0] for i in range(size)]
+    return relabelled_morphism(images, draw(st.permutations(range(len(images)))))
+
+
+@given(st.one_of(latin_square_morphisms(max_k=5), nonerasing_morphisms(), block_morphisms()))
+@settings(max_examples=100, deadline=None)
+def test_one_orbit_detector_matches_all_permutations(m):
+    orbit = {sigma[0] for sigma in all_commuting_permutations(m)}
+    assert certify_module._one_orbit(m) == (orbit == set(range(len(m.source))))
+
+
+def test_one_orbit_detector_examples():
+    assert certify_module._one_orbit(catalog("thue_morse"))
+    assert certify_module._one_orbit(catalog("leech"))
+    assert certify_module._one_orbit(catalog("f4"))
+    assert not certify_module._one_orbit(catalog("g4"))
+    # symmetric under the swap of 0 and 1, but no permutation moves 2
+    assert not certify_module._one_orbit(Morphism.from_strings("012", ["01", "10", "22"]))
+    # every letter maps to 1, so only the identity commutes
+    assert not certify_module._one_orbit(Morphism.from_strings("01", ["1", "1"]))
+    # only separate components: the propagation forces nothing beyond 0
+    assert certify_module._one_orbit(Morphism.from_strings("0123", ["00", "11", "22", "33"]))
+    assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "10"], target="10"))
+
+
+@given(latin_square_morphisms(), st.sampled_from(list(PatternKind)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_searches_match_naive_on_latin_square_morphisms(m, kind, data):
+    k = len(m.source)
+    depth = data.draw(st.integers(kind.min_span, {2: 6, 3: 5, 4: 4}.get(k, 3)))
+    assert_same_forward_search(m, kind, depth)
+    assert_same_backward_search(m, kind, depth)
+
+
+def counted_scans(monkeypatch) -> list:
+    # The words certify passes to find_pattern, in call order.
+    scans = []
+
+    def counting(w, kind):
+        scans.append(w)
+        return find_pattern(w, kind)
+
+    monkeypatch.setattr(certify_module, "find_pattern", counting)
+    return scans
+
+
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda kind: kind.value)
+def test_symmetric_backward_search_scans_only_zero_words(monkeypatch, kind):
+    # Same alphabet, so image scans would count too; a valid morphism
+    # confirms every image occurrence without one. The empty parent has one
+    # 0-child, and each kind-free 0-word shorter than max_len has k.
+    m, depth = catalog("leech"), 6
+    scans = counted_scans(monkeypatch)
+    search_backward(m, kind, depth)
+    zero_words = sum(
+        1 for w in enumerate_pattern_free(m.source, kind, depth - 1) if w.symbols[0] == 0
+    )
+    assert len(scans) == 1 + len(m.source) * zero_words
+
+
+@pytest.mark.parametrize(
+    "m",
+    [catalog("g4"), Morphism.from_strings("012", ["01", "10", "22"])],
+    ids=["g4", "swap-and-fixed-letter"],
+)
+def test_searches_without_one_orbit_take_the_full_path(monkeypatch, m):
+    # Backward scans every child of every kind-free word shorter than the
+    # depth; forward scans the image of every word the naive search checks.
+    kind, depth = PatternKind.OVERLAP, 4
+    scans = counted_scans(monkeypatch)
+    search_backward(m, kind, depth)
+    shorter = sum(1 for _ in enumerate_pattern_free(m.source, kind, depth - 1))
+    assert len(scans) == len(m.source) * (1 + shorter)
+    scans.clear()
+    res = search_forward(m, kind, depth)
+    assert len(scans) == res.words_checked > len(m.source)
 
 
 @st.composite
@@ -339,6 +499,17 @@ def test_explain_validates_its_input():
         explain(m, cube)
 
 
+def test_explain_rejects_a_word_that_contains_the_pattern():
+    # 00 is a square, so its square image 0101 is no forward counterexample
+    m = catalog("thue_morse")
+    word = parse_word("00", m.source)
+    cex = Counterexample(
+        Direction.FORWARD, word, m.apply(word), Occurrence(PatternKind.SQUARE, 0, 2)
+    )
+    with pytest.raises(ValueError, match="counterexample word is not square-free"):
+        explain(m, cex)
+
+
 def test_explain_aligned_square_counterexample():
     m = Morphism.from_strings("012", ["ab", "cd", "cd"], target="abcd")
     cex = certify_forward(m, PatternKind.SQUARE, 3)
@@ -453,19 +624,27 @@ def test_explain_border_hits_follow_checker_witnesses():
     m = Morphism.from_strings("012", ["bba", "abb", "aab"], target="ab")
     witnesses = check_border_condition(m).witnesses
     borders_seen = 0
-    for length in range(1, 6):
-        for t in itertools.product(range(3), repeat=length):
-            word = Word(t, m.source)
-            occ = find_pattern(m.apply(word), PatternKind.OVERLAP)
-            if occ is not None:
-                borders_seen += _check_border_lines(m, word, occ, witnesses)
+    for word in enumerate_pattern_free(m.source, PatternKind.OVERLAP, 5):
+        occ = find_pattern(m.apply(word), PatternKind.OVERLAP)
+        if occ is not None:
+            borders_seen += _check_border_lines(m, word, occ, witnesses)
     assert borders_seen > 0
 
 
 def test_explain_border_lines_hold_on_random_uniform_morphisms():
     # every misaligned square or overlap over four or more tiles, in the
-    # images of sampled words under seeded random uniform morphisms
+    # images of sampled kind-free words under seeded random uniform morphisms
     rng = random.Random(2010)
+    kinds = (PatternKind.OVERLAP, PatternKind.SQUARE)
+    pools = {
+        (k, kind): [
+            w.symbols
+            for w in enumerate_pattern_free(Alphabet.from_string("0123"[:k]), kind, 6)
+            if len(w) >= 4
+        ]
+        for k in (2, 3, 4)
+        for kind in kinds
+    }
     explained = borders_seen = 0
     for _ in range(400):
         k, n = rng.randint(2, 4), rng.randint(2, 8)
@@ -474,22 +653,23 @@ def test_explain_border_lines_hold_on_random_uniform_morphisms():
             letters, ["".join(rng.choices(letters, k=n)) for _ in letters]
         )
         witnesses = check_border_condition(m).witnesses
-        for _ in range(16):
-            word = Word(tuple(rng.choices(range(k), k=rng.randint(4, 6))), m.source)
-            sym = m.apply(word).symbols
-            for kind, p in itertools.product(
-                (PatternKind.OVERLAP, PatternKind.SQUARE), range(1, len(sym) // 2 + 1)
-            ):
-                if p % n == 0:
-                    continue
-                span = kind.span(p)
-                for i in range(len(sym) - span + 1):
-                    four_tiles = (i + span - 1) // n - i // n >= 3
-                    if four_tiles and sym[i:i + span - p] == sym[i + p:i + span]:
-                        occ = Occurrence(kind, i, p)
-                        explained += 1
-                        borders_seen += _check_border_lines(m, word, occ, witnesses)
-    assert explained > 4000 and borders_seen > 6000, (explained, borders_seen)
+        for kind in kinds:
+            if not pools[k, kind]:
+                continue  # binary square-free words stop at length 3
+            for _ in range(24):
+                word = Word(rng.choice(pools[k, kind]), m.source)
+                sym = m.apply(word).symbols
+                for p in range(1, len(sym) // 2 + 1):
+                    if p % n == 0:
+                        continue
+                    span = kind.span(p)
+                    for i in range(len(sym) - span + 1):
+                        four_tiles = (i + span - 1) // n - i // n >= 3
+                        if four_tiles and sym[i:i + span - p] == sym[i + p:i + span]:
+                            occ = Occurrence(kind, i, p)
+                            explained += 1
+                            borders_seen += _check_border_lines(m, word, occ, witnesses)
+    assert explained > 600 and borders_seen > 1200, (explained, borders_seen)
 
 
 def test_explain_non_uniform_positions_only():
