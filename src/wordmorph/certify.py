@@ -71,26 +71,23 @@ def _one_orbit(m: Morphism) -> bool:
     occurrences with the same start and period, so w is a counterexample in
     either direction exactly when sigma(w) is. The permutations that commute
     form a group; when it maps 0 to every letter, every word has a copy
-    starting with 0. Each sigma found is checked against every image before
-    it counts.
+    starting with 0.
     """
     if m.source != m.target:
         return False
     images = [im.symbols for im in m.images]
-    for b in range(1, len(images)):
-        sigma = _commuting_permutation(images, b)
-        if sigma is None or any(
-            images[sigma[a]] != tuple(sigma[x] for x in im) for a, im in enumerate(images)
-        ):
-            return False
-    return True
+    return all(
+        _commuting_permutation(images, b) is not None for b in range(1, len(images))
+    )
 
 
 def _commuting_permutation(images: list[tuple[int, ...]], b: int) -> dict[int, int] | None:
     # Fix sigma(0) = b and propagate sigma(m(x)[i]) = m(sigma(x))[i]
     # through the images. Where that leaves letters unassigned, map the
     # least of them to the least unused letter and propagate again; None at
-    # the first conflict. A map this completes commutes with m. No choice
+    # the first conflict. Every assigned letter's image is compared with the
+    # image of its target letter, position by position, so a map this
+    # completes commutes with m and needs no second check. No choice
     # needs undoing when the group maps 0 to every letter: then every letter
     # reaches equally many letters through the images, so the letters one
     # letter reaches form a block that each of them reaches, and group
@@ -126,20 +123,6 @@ def _commuting_permutation(images: list[tuple[int, ...]], b: int) -> dict[int, i
         c = min(y for y in range(k) if y not in used)
 
 
-def _orbit_counts(
-    checked: dict[int, int], k: int, cex: Counterexample | None
-) -> dict[int, int]:
-    # Below the stop length a permutation with sigma(0) = b maps the 0-words
-    # one-to-one onto the b-words, so the full count is k times the 0-word
-    # count. At the stop length the full search saw only 0-words, because
-    # the least counterexample starts with 0 (some sigma maps its first
-    # letter to 0 and gives a smaller one otherwise).
-    stop = None if cex is None else len(cex.word)
-    return {
-        length: n if length == stop else k * n for length, n in checked.items()
-    }
-
-
 def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
     """Scan images of every kind-free word up to max_len, shortest first.
 
@@ -169,7 +152,16 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
             cex = Counterexample(Direction.FORWARD, w, image, occ)
             break
     if one_orbit:
-        checked = _orbit_counts(checked, len(m.source), cex)
+        # Below the stop length a permutation with sigma(0) = b maps the
+        # kind-free 0-words one-to-one onto the b-words. At the stop length
+        # the full search saw only 0-words, because the least counterexample
+        # starts with 0 (some sigma maps its first letter to 0 and gives a
+        # smaller one otherwise).
+        stop = None if cex is None else len(cex.word)
+        k = len(m.source)
+        checked = {
+            length: n if length == stop else k * n for length, n in checked.items()
+        }
     return SearchResult(Direction.FORWARD, kind, max_len, cex, checked)
 
 
@@ -195,16 +187,8 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
     a counterexample, reported with its minimal occurrence. Counts, witness
     and stop point are those of scanning every word and every image.
 
-    When the letter permutations commuting with m map 0 to every letter
-    (`_one_orbit`), only the words starting with 0 are walked: they are the
-    first k^(L-1) ranks of each length, so the parent rank r // k still
-    points into the previous length's list. Every other word is a permuted
-    copy of a 0-word, with a counterexample exactly when its copy has one;
-    the counts are scaled back as in `search_forward`.
-
     The rank list keeps one reference per word of the current length: k^L
-    at the last length, 65,536 references (0.5 MB) for g4 at max_len 8, and
-    k^(L-1) for a morphism with one orbit.
+    at the last length, 65,536 references (0.5 MB) for g4 at max_len 8.
     """
     if max_len < kind.min_span:
         article = "an" if kind is PatternKind.OVERLAP else "a"
@@ -213,16 +197,12 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
             " in the word"
         )
     k = len(m.source)
-    one_orbit = _one_orbit(m)
     image_len = [len(im) for im in m.images]
     checked = {length: 0 for length in range(1, max_len + 1)}
     prev: list[Occurrence | None] = [None]
     for length in range(1, max_len + 1):
         cur: list[Occurrence | None] = []
-        words = itertools.product(range(k), repeat=length)
-        if one_orbit:
-            words = itertools.islice(words, k ** (length - 1))
-        for rank, t in enumerate(words):
+        for rank, t in enumerate(itertools.product(range(k), repeat=length)):
             w = Word(t, m.source)
             image_occ = prev[rank // k]
             if image_occ is None:
@@ -243,13 +223,9 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
                         cex = Counterexample(
                             Direction.BACKWARD, w, image, find_pattern(w, kind)
                         )
-                        if one_orbit:
-                            checked = _orbit_counts(checked, k, cex)
                         return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
             cur.append(image_occ)
         prev = cur
-    if one_orbit:
-        checked = _orbit_counts(checked, k, None)
     return SearchResult(Direction.BACKWARD, kind, max_len, None, checked)
 
 

@@ -284,17 +284,15 @@ def counted_scans(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("kind", list(PatternKind), ids=lambda kind: kind.value)
-def test_symmetric_backward_search_scans_only_zero_words(monkeypatch, kind):
-    # Same alphabet, so image scans would count too; a valid morphism
-    # confirms every image occurrence without one. The empty parent has one
-    # 0-child, and each kind-free 0-word shorter than max_len has k.
+def test_symmetric_forward_search_scans_only_zero_words(monkeypatch, kind):
+    # leech is square-free, so no search stops early: the images of the
+    # kind-free 0-words are scanned, and every kind-free word is counted.
     m, depth = catalog("leech"), 6
     scans = counted_scans(monkeypatch)
-    search_backward(m, kind, depth)
-    zero_words = sum(
-        1 for w in enumerate_pattern_free(m.source, kind, depth - 1) if w.symbols[0] == 0
-    )
-    assert len(scans) == 1 + len(m.source) * zero_words
+    res = search_forward(m, kind, depth)
+    free = list(enumerate_pattern_free(m.source, kind, depth))
+    assert scans == [m.apply(w) for w in free if w.symbols[0] == 0]
+    assert res.words_checked == len(free)
 
 
 @pytest.mark.parametrize(
@@ -302,17 +300,22 @@ def test_symmetric_backward_search_scans_only_zero_words(monkeypatch, kind):
     [catalog("g4"), Morphism.from_strings("012", ["01", "10", "22"])],
     ids=["g4", "swap-and-fixed-letter"],
 )
-def test_searches_without_one_orbit_take_the_full_path(monkeypatch, m):
-    # Backward scans every child of every kind-free word shorter than the
-    # depth; forward scans the image of every word the naive search checks.
-    kind, depth = PatternKind.OVERLAP, 4
+def test_forward_search_without_one_orbit_takes_the_full_path(monkeypatch, m):
+    # the image of every word the naive search checks is scanned
+    scans = counted_scans(monkeypatch)
+    res = search_forward(m, PatternKind.OVERLAP, 4)
+    assert len(scans) == res.words_checked > len(m.source)
+
+
+@pytest.mark.parametrize("name", ["g4", "leech"])
+def test_backward_search_scans_every_child_of_a_kind_free_word(monkeypatch, name):
+    # symmetric or not, the backward search walks every word: each child of
+    # the empty word and of each kind-free word shorter than the depth
+    m, kind, depth = catalog(name), PatternKind.OVERLAP, 4
     scans = counted_scans(monkeypatch)
     search_backward(m, kind, depth)
     shorter = sum(1 for _ in enumerate_pattern_free(m.source, kind, depth - 1))
     assert len(scans) == len(m.source) * (1 + shorter)
-    scans.clear()
-    res = search_forward(m, kind, depth)
-    assert len(scans) == res.words_checked > len(m.source)
 
 
 @st.composite
