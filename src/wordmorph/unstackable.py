@@ -9,6 +9,7 @@ must avoid the pattern, and the images must not share exploitable borders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from collections.abc import Iterator
@@ -100,9 +101,19 @@ class Verdict:
         return sum(r.words_checked for r in self.reports)
 
 
+@functools.lru_cache(maxsize=64)
+def _pattern_free_triples(alphabet, kind: PatternKind) -> tuple[Word, ...]:
+    return tuple(w for w in enumerate_pattern_free(alphabet, kind, 3) if len(w) == 3)
+
+
 def pattern_free_triples(alphabet, kind: PatternKind) -> list[Word]:
-    """All kind-free words of length exactly 3, in lexicographic order."""
-    return [w for w in enumerate_pattern_free(alphabet, kind, 3) if len(w) == 3]
+    """All kind-free words of length exactly 3, in lexicographic order.
+
+    They depend only on the alphabet and the kind, so they are enumerated
+    once per (alphabet, kind) and memoised, for the 64 most recent pairs;
+    every call returns a fresh list.
+    """
+    return list(_pattern_free_triples(alphabet, kind))
 
 
 def _image_witnesses(m: Morphism, words, kind: PatternKind) -> tuple[Witness, ...]:

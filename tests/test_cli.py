@@ -734,3 +734,48 @@ def test_help_renders(command, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith(f"usage: {' '.join(['wordmorph', *command])} ")
+
+
+# One in-process sequence that could expose state a shared parser carries
+# from one call into the next: options then defaults, usage errors,
+# positional-less subcommands and --help.
+SHARED_PARSER_SEQUENCE = [
+    ["certify", "thue_morse", "--pattern", "overlap", "--max-len", "6", "--direction", "forward", "--json"],
+    ["certify", "thue_morse", "--pattern", "overlap", "--max-len", "6"],
+    ["check-word", "01"],
+    ["check-word", "0110", "--pattern", "overlap", "--alphabet", "01"],
+    ["catalog", "show"],
+    ["catalog", "list"],
+    ["certify", "--help"],
+    ["check-word", "0101", "--pattern", "square", "--alphabet", "01", "--json"],
+]
+
+
+def _main_outcome(argv, capsys) -> tuple[object, str, str]:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, _mask_elapsed(out), err
+
+
+def test_shared_parser_leaks_no_state(capsys):
+    fresh = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(_main_outcome(argv, capsys))
+    cli.build_parser.cache_clear()
+    shared = [_main_outcome(argv, capsys) for argv in SHARED_PARSER_SEQUENCE]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 1]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert cli.main(["check-word", "0110", "--pattern", "overlap", "--alphabet", "01"]) == 0
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 4
