@@ -21,6 +21,7 @@ from .words import (
     Occurrence,
     PatternKind,
     Word,
+    _trusted_word,
     enumerate_pattern_free,
     find_pattern,
 )
@@ -45,6 +46,25 @@ class Counterexample:
     word: Word
     image: Word
     occurrence: Occurrence
+
+    def check(self, m: Morphism) -> None:
+        """Raise ValueError unless this is a counterexample for m.
+
+        In both directions the image is m(word). Forward: the word is free of
+        the occurrence's kind and the occurrence matches the image. Backward:
+        the occurrence matches the word and the image is kind-free.
+        """
+        if m.apply(self.word) != self.image:
+            raise ValueError("counterexample image does not come from this morphism")
+        if self.direction is Direction.FORWARD:
+            repetitive, free, free_name = self.image, self.word, "word"
+        else:
+            repetitive, free, free_name = self.word, self.image, "image"
+        if not self.occurrence.matches(repetitive):
+            raise ValueError("counterexample occurrence fails its own re-check")
+        kind = self.occurrence.kind
+        if find_pattern(free, kind) is not None:
+            raise ValueError(f"counterexample {free_name} is not {kind.value}-free")
 
 
 @dataclass
@@ -203,7 +223,7 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
     for length in range(1, max_len + 1):
         cur: list[Occurrence | None] = []
         for rank, t in enumerate(itertools.product(range(k), repeat=length)):
-            w = Word(t, m.source)
+            w = _trusted_word(t, m.source)
             image_occ = prev[rank // k]
             if image_occ is None:
                 occ = find_pattern(w, kind)
@@ -326,21 +346,16 @@ def explain(m: Morphism, cex: Counterexample) -> str:
     whose image already contains the pattern (occurrences on at most three
     tiles), or exhibits the shared border between image ends and the violated
     stem/tail requirement (wider misaligned occurrences). Non-uniform
-    morphisms get a positions-only report. A word that itself contains the
-    pattern is no forward counterexample and raises ValueError, like any
-    other inconsistent input.
+    morphisms get a positions-only report. Input that fails
+    Counterexample.check, such as a word that itself contains the pattern,
+    raises ValueError.
     """
     if cex.direction is not Direction.FORWARD:
         raise ValueError("only forward counterexamples are explained")
     kind = cex.occurrence.kind
     if kind not in (PatternKind.OVERLAP, PatternKind.SQUARE):
         raise ValueError("explanations cover overlap and square counterexamples only")
-    if m.apply(cex.word).symbols != cex.image.symbols:
-        raise ValueError("counterexample image does not come from this morphism")
-    if not cex.occurrence.matches(cex.image):
-        raise ValueError("counterexample occurrence fails its own re-check")
-    if find_pattern(cex.word, kind) is not None:
-        raise ValueError(f"counterexample word is not {kind.value}-free")
+    cex.check(m)
 
     occ = cex.occurrence
     word, image = cex.word, cex.image

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .words import Alphabet, Word, parse_word
+from .words import Alphabet, Word, _trusted_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class Morphism:
         out: list[int] = []
         for s in word.symbols:
             out.extend(self.images[s].symbols)
-        return Word(tuple(out), self.target)
+        return _trusted_word(tuple(out), self.target)
 
     def uniform_length(self) -> int | None:
         """Common image length if all images agree, else None."""
@@ -88,7 +88,7 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
         if len(word) >= target_len:
             break
         word.extend(m.images[letter].symbols)
-    return Word(tuple(word[:target_len]), m.source)
+    return _trusted_word(tuple(word[:target_len]), m.source)
 
 
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {

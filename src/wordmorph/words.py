@@ -62,7 +62,13 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """Immutable sequence of letter indices over an owning alphabet."""
+    """Immutable sequence of letter indices over an owning alphabet.
+
+    Symbols are validated at the public boundary: `Word(...)` raises
+    ValueError for a symbol that is not an int in range(len(alphabet)).
+    Words the library builds from already-valid data (parsed text, slices,
+    concatenations, enumerated words, morphism images) are not checked again.
+    """
 
     symbols: tuple[int, ...]
     alphabet: Alphabet
@@ -72,6 +78,8 @@ class Word:
             object.__setattr__(self, "symbols", tuple(self.symbols))
         k = len(self.alphabet)
         for s in self.symbols:
+            if not isinstance(s, int):
+                raise ValueError(f"symbol {s!r} is not an int letter index")
             if not 0 <= s < k:
                 raise ValueError(f"symbol index {s} out of range for a {k}-letter alphabet")
 
@@ -88,7 +96,7 @@ class Word:
 
     def __getitem__(self, item: int | slice) -> int | Word:
         if isinstance(item, slice):
-            return Word(self.symbols[item], self.alphabet)
+            return _trusted_word(self.symbols[item], self.alphabet)
         return self.symbols[item]
 
     def letter(self, i: int) -> str:
@@ -97,7 +105,20 @@ class Word:
     def concat(self, other: Word) -> Word:
         if other.alphabet != self.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.alphabet)
+        return _trusted_word(self.symbols + other.symbols, self.alphabet)
+
+
+def _trusted_word(symbols: tuple[int, ...], alphabet: Alphabet) -> Word:
+    """Word over alphabet from a tuple of symbols already known to be in range.
+
+    Skips the per-symbol check of Word.__post_init__, which takes longer than
+    building the object. Only for symbols taken from a valid Word, Alphabet
+    or Morphism; anything else goes through Word(...).
+    """
+    word = object.__new__(Word)
+    object.__setattr__(word, "symbols", symbols)
+    object.__setattr__(word, "alphabet", alphabet)
+    return word
 
 
 @unique
@@ -145,7 +166,7 @@ class Occurrence:
     def factor(self, word: Word) -> Word:
         if self.start < 0 or self.start + self.span > len(word):
             raise ValueError("occurrence does not fit inside the word")
-        return Word(word.symbols[self.start:self.start + self.span], word.alphabet)
+        return _trusted_word(word.symbols[self.start:self.start + self.span], word.alphabet)
 
     def matches(self, word: Word) -> bool:
         """Re-check the claimed pattern by direct letter comparison."""
@@ -161,7 +182,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Map text to a Word, one letter per character."""
     index = {ch: i for i, ch in enumerate(alphabet.letters)}
     try:
-        return Word(tuple([index[ch] for ch in text]), alphabet)
+        return _trusted_word(tuple([index[ch] for ch in text]), alphabet)
     except KeyError as exc:
         pos = text.index(exc.args[0])  # the first foreign character fails first
     raise ParseError(
@@ -269,5 +290,5 @@ def enumerate_pattern_free(alphabet: Alphabet, kind: PatternKind, max_len: int) 
                 cand = stem + (s,)
                 if not _ends_with_pattern(cand, kind):
                     grown.append(cand)
-                    yield Word(cand, alphabet)
+                    yield _trusted_word(cand, alphabet)
         frontier = grown

@@ -5,7 +5,9 @@ from __future__ import annotations
 import subprocess
 import sys
 
-from wordmorph import Morphism
+import pytest
+
+from wordmorph import Morphism, Word
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -15,6 +17,29 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+def assert_same_as_validated(word: Word) -> None:
+    # A word the library built without Word's own check must be the word
+    # that check would have built: tuple symbols, equal and equally hashed.
+    validated = Word(word.symbols, word.alphabet)
+    assert type(word.symbols) is tuple
+    assert word == validated
+    assert hash(word) == hash(validated)
+
+
+@pytest.fixture
+def word_checks(monkeypatch) -> list[Word]:
+    """Every word that runs Word.__post_init__ while the test runs."""
+    checked: list[Word] = []
+    post_init = Word.__post_init__
+
+    def counting_post_init(self: Word) -> None:
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+    return checked
 
 
 def brute_border_violations(m: Morphism) -> list[tuple[str, str, str]]:

@@ -34,6 +34,7 @@ from wordmorph import (
     search_forward,
 )
 from wordmorph import certify as certify_module
+from conftest import assert_same_as_validated
 
 FOUR_TILE_CASES = {
     AlignmentCase.R0_LE_R2_LT_R1,
@@ -186,6 +187,46 @@ CATALOG_FORWARD_DEPTHS = {"thue_morse": 10, "leech": 6, "f4": 4, "g4": 4}
 @pytest.mark.parametrize("name", sorted(CATALOG_FORWARD_DEPTHS))
 def test_forward_matches_naive_search_on_catalog(name, kind):
     assert_same_forward_search(catalog(name), kind, CATALOG_FORWARD_DEPTHS[name])
+
+
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", sorted(CATALOG_FORWARD_DEPTHS))
+def test_search_counterexamples_pass_their_own_check(name, kind):
+    m = catalog(name)
+    for search in (search_forward, search_backward):
+        cex = search(m, kind, 4).counterexample
+        if cex is not None:
+            cex.check(m)
+            assert_same_as_validated(cex.word)
+            assert_same_as_validated(cex.image)
+
+
+def test_counterexample_check_names_the_broken_fact():
+    m = catalog("thue_morse")
+    word = parse_word("00", m.source)
+    square = Occurrence(PatternKind.SQUARE, 0, 1)
+    # A non-erasing image of a square contains a square, so no backward
+    # counterexample exists to pass the check.
+    with pytest.raises(ValueError, match="counterexample image is not square-free"):
+        Counterexample(Direction.BACKWARD, word, m.apply(word), square).check(m)
+    with pytest.raises(ValueError, match="occurrence fails its own re-check"):
+        Counterexample(
+            Direction.BACKWARD, word, m.apply(word), Occurrence(PatternKind.SQUARE, 1, 1)
+        ).check(m)
+    with pytest.raises(ValueError, match="does not come from this morphism"):
+        Counterexample(Direction.BACKWARD, word, word, square).check(m)
+    Counterexample(
+        Direction.FORWARD, parse_word("01", m.source), parse_word("0110", m.source),
+        Occurrence(PatternKind.SQUARE, 1, 1),
+    ).check(m)
+
+
+def test_searches_build_no_checked_words(word_checks):
+    thue_morse, leech = catalog("thue_morse"), catalog("leech")
+    word_checks.clear()
+    assert search_backward(thue_morse, PatternKind.OVERLAP, 10).counterexample is None
+    assert search_forward(leech, PatternKind.SQUARE, 8).counterexample is None
+    assert word_checks == []
 
 
 def all_commuting_permutations(m: Morphism) -> list[tuple[int, ...]]:

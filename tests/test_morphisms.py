@@ -14,6 +14,7 @@ from wordmorph import (
     iterate_prefix,
     parse_word,
 )
+from conftest import assert_same_as_validated
 
 BIN = Alphabet.from_string("01")
 TERN = Alphabet.from_string("012")
@@ -70,6 +71,7 @@ def test_apply_is_a_homomorphism(images, u_syms, v_syms):
     v = Word(tuple(v_syms), BIN)
     assert m.apply(u.concat(v)) == m.apply(u).concat(m.apply(v))
     assert len(m.apply(u)) == sum(len(m.images[s]) for s in u.symbols)
+    assert_same_as_validated(m.apply(u))
 
 
 def test_uniform_length():
@@ -168,7 +170,16 @@ def test_iterate_prefix_agrees_with_naive_iteration(morphism, target_len):
             iterate_prefix(m, seed, target_len)
         assert str(exc_info.value) == str(exc)
     else:
-        assert iterate_prefix(m, seed, target_len).text == expected
+        prefix = iterate_prefix(m, seed, target_len)
+        assert prefix.text == expected
+        assert_same_as_validated(prefix)
+
+
+def test_iterate_and_apply_build_no_checked_words(word_checks):
+    m = catalog("thue_morse")
+    word = iterate_prefix(m, "0", 10**5)
+    assert len(m.apply(word)) == 2 * 10**5
+    assert word_checks == []
 
 
 def test_catalog_frozen_images():

@@ -21,6 +21,7 @@ from wordmorph import (
     iterate_prefix,
     parse_word,
 )
+from conftest import assert_same_as_validated
 
 BIN = Alphabet.from_string("01")
 TERN = Alphabet.from_string("012")
@@ -158,6 +159,15 @@ def test_word_rejects_out_of_range_symbols():
         Word((0, 2), BIN)
     with pytest.raises(ValueError):
         Word((-1,), BIN)
+
+
+def test_word_rejects_symbols_that_are_not_ints():
+    with pytest.raises(ValueError, match="symbol 0.5 is not an int"):
+        Word((0.5, 1), BIN)
+    with pytest.raises(ValueError, match="symbol '0' is not an int"):
+        Word(("0",), BIN)
+    # bool is an int subclass, and True == 1
+    assert Word((False, True), BIN) == parse_word("01", BIN)
 
 
 def test_count_factor():
@@ -414,3 +424,23 @@ def test_enumerated_words_are_pattern_free_and_prefix_closed(kind, max_len):
         if len(w) > 1:
             assert w.symbols[:-1] in seen
         seen.add(w.symbols)
+
+
+@given(words_over_small_alphabets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_words_built_from_valid_words_equal_validated_words(word, data):
+    alphabet = word.alphabet
+    other = Word(data.draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=20)), alphabet)
+    built = [
+        parse_word(word.text, alphabet),
+        word[data.draw(st.slices(len(word)))],
+        word.concat(other),
+        other.concat(word),
+    ]
+    for kind in PatternKind:
+        occ = find_pattern(word, kind)
+        if occ is not None:
+            built.append(occ.factor(word))
+    built.extend(enumerate_pattern_free(alphabet, data.draw(st.sampled_from(list(PatternKind))), 4))
+    for w in built:
+        assert_same_as_validated(w)
