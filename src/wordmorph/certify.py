@@ -149,13 +149,10 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
     Enumeration order makes any counterexample minimal: shortest word first,
     lexicographically least among those, minimal occurrence inside its image.
 
-    When the letter permutations commuting with m map 0 to every letter
-    (`_one_orbit`), only the words starting with 0 are scanned: every other
-    word is a permuted copy of one of them, with a counterexample exactly
-    when its copy has one. The count at each length below the stop is then
-    k times the 0-word count, and the witness and the count at the stop
-    length are those of the full search, because the least counterexample
-    starts with 0.
+    Every enumerated word is counted. When the letter permutations
+    commuting with m map 0 to every letter (`_one_orbit`), only the images
+    of words starting with 0 are scanned: every other word has an earlier
+    copy starting with 0 that is a counterexample exactly when it is.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -163,25 +160,14 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
     checked = {length: 0 for length in range(1, max_len + 1)}
     cex = None
     for w in enumerate_pattern_free(m.source, kind, max_len):
+        checked[len(w)] += 1
         if one_orbit and w.symbols[0]:
             continue
-        checked[len(w)] += 1
         image = m.apply(w)
         occ = find_pattern(image, kind)
         if occ is not None:
             cex = Counterexample(Direction.FORWARD, w, image, occ)
             break
-    if one_orbit:
-        # Below the stop length a permutation with sigma(0) = b maps the
-        # kind-free 0-words one-to-one onto the b-words. At the stop length
-        # the full search saw only 0-words, because the least counterexample
-        # starts with 0 (some sigma maps its first letter to 0 and gives a
-        # smaller one otherwise).
-        stop = None if cex is None else len(cex.word)
-        k = len(m.source)
-        checked = {
-            length: n if length == stop else k * n for length, n in checked.items()
-        }
     return SearchResult(Direction.FORWARD, kind, max_len, cex, checked)
 
 

@@ -301,6 +301,19 @@ def test_one_orbit_detector_examples():
     # only separate components: the propagation forces nothing beyond 0
     assert certify_module._one_orbit(Morphism.from_strings("0123", ["00", "11", "22", "33"]))
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "10"], target="10"))
+    # f4 with letters 1 and 2 swapped: its commuting permutations are the
+    # relabelled shifts, and the shift a -> a + 1 mod 4 is not among them
+    swapped = Morphism.from_strings("0123", [
+        "02132130203123120",
+        "13023021312032031",
+        "21301302120310312",
+        "30210213031201203",
+    ])
+    assert certify_module._one_orbit(swapped)
+    assert (1, 2, 3, 0) not in all_commuting_permutations(swapped)
+    assert search_forward(swapped, PatternKind.OVERLAP, 5).checked_by_length == {
+        1: 4, 2: 16, 3: 60, 4: 228, 5: 852
+    }
 
 
 @given(latin_square_morphisms(), st.sampled_from(list(PatternKind)), st.data())
@@ -334,6 +347,31 @@ def test_symmetric_forward_search_scans_only_zero_words(monkeypatch, kind):
     free = list(enumerate_pattern_free(m.source, kind, depth))
     assert scans == [m.apply(w) for w in free if w.symbols[0] == 0]
     assert res.words_checked == len(free)
+
+
+@pytest.mark.parametrize(
+    "kind, depth, stop, counts",
+    [
+        (PatternKind.CUBE, 6, "02102", {1: 3, 2: 9, 3: 24, 4: 66, 5: 49, 6: 0}),
+        (PatternKind.OVERLAP, 5, "0210", {1: 3, 2: 9, 3: 24, 4: 18, 5: 0}),
+    ],
+    ids=["cube", "overlap"],
+)
+def test_symmetric_forward_search_that_stops(monkeypatch, kind, depth, stop, counts):
+    # The rotation 0 -> 1 -> 2 -> 0 commutes with this morphism. Every word
+    # before the counterexample is counted, including the 49 at the stop
+    # length, which is no multiple of 3; only the 0-words' images are scanned.
+    m = Morphism.from_strings("012", ["01", "12", "20"])
+    assert certify_module._one_orbit(m)
+    naive = naive_search_forward(m, kind, depth)
+    scans = counted_scans(monkeypatch)
+    res = search_forward(m, kind, depth)
+    assert res.checked_by_length == naive.checked_by_length == counts
+    assert res.counterexample == naive.counterexample
+    assert res.counterexample.word.text == stop
+    free = list(enumerate_pattern_free(m.source, kind, depth))
+    walked = free[:free.index(res.counterexample.word) + 1]
+    assert scans == [m.apply(w) for w in walked if w.symbols[0] == 0]
 
 
 @pytest.mark.parametrize(
