@@ -153,18 +153,35 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
     commuting with m map 0 to every letter (`_one_orbit`), only the images
     of words starting with 0 are scanned: every other word has an earlier
     copy starting with 0 that is a counterexample exactly when it is.
+
+    Each scan looks only at occurrences that span the image's first and
+    last tiles. By the time w comes up, w[1:] and w[:-1] are kind-free
+    (kind-free words are factor-closed), shorter, and their images are
+    clean: the search stops at the first hit, and on the one-orbit path
+    each of them has a copy starting with 0 whose image was scanned, and
+    a commuting permutation maps images and their occurrences to each
+    other. So every occurrence in h(w) starts inside h(w[0]) and ends
+    inside h(w[-1]): start < |h(w[0])| and span >= |h(w)| - |h(w[0])| -
+    |h(w[-1])| + 2. These bounds hold for every occurrence, so the first
+    hit of the bounded scan is the minimal one; for |w| = 1 they bound
+    nothing.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     one_orbit = _one_orbit(m)
+    image_len = [len(im) for im in m.images]
     checked = {length: 0 for length in range(1, max_len + 1)}
     cex = None
     for w in enumerate_pattern_free(m.source, kind, max_len):
         checked[len(w)] += 1
-        if one_orbit and w.symbols[0]:
+        sym = w.symbols
+        if one_orbit and sym[0]:
             continue
         image = m.apply(w)
-        occ = find_pattern(image, kind)
+        first, last = image_len[sym[0]], image_len[sym[-1]]
+        occ = find_pattern(
+            image, kind, start_below=first, min_span=len(image) - first - last + 2
+        )
         if occ is not None:
             cex = Counterexample(Direction.FORWARD, w, image, occ)
             break
@@ -418,7 +435,7 @@ def _explain_aligned(
     # pattern itself.
     base = stretch.symbols[:qt]
     reps = -(-len(stretch) // qt)
-    ideal = Word((base * reps)[:len(stretch)], word.alphabet)
+    ideal = _trusted_word((base * reps)[:len(stretch)], word.alphabet)
     lines.append(
         f"  tile contents repeat every {qt} tile(s); a preimage doing the same"
         f" over tiles {s0}..{s0 + len(stretch) - 1} would read {ideal.text}"

@@ -47,7 +47,8 @@ class Morphism:
         return self.images[self.source.index(letter)]
 
     def apply(self, word: Word) -> Word:
-        if word.alphabet != self.source:
+        # identity first: the dataclass __eq__ costs several times more
+        if word.alphabet is not self.source and word.alphabet != self.source:
             raise ValueError("word is not over the source alphabet")
         out: list[int] = []
         for s in word.symbols:

@@ -203,7 +203,9 @@ def count_factor(word: Word, factor: Word) -> int:
     return sum(1 for i in range(len(sym) - len(f) + 1) if sym[i:i + len(f)] == f)
 
 
-def find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
+def find_pattern(
+    word: Word, kind: PatternKind, *, start_below: int | None = None, min_span: int = 0
+) -> Occurrence | None:
     """First occurrence in (span, start) order, or None if the word avoids the kind.
 
     Smallest span wins, ties by smallest start; for a fixed kind the span
@@ -218,6 +220,13 @@ def find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
     starts at i exactly when the span(p) - p bits i, i + 1, ... of eq are all
     set; shift-ANDs with doubling steps leave bit i set only at such starts,
     and the lowest set bit is the leftmost one.
+
+    The keyword bounds restrict the scan to occurrences with start <
+    start_below (any start when None) and span >= min_span, and the result is
+    the first of those in the same order. Periods start at the first span >=
+    min_span. The start mask is applied only after the doubling steps: they
+    AND bit i with bits up to i + span - p - 1, which lie above the start
+    window, so masking before them would lose occurrences.
     """
     sym = word.symbols
     n = len(sym)
@@ -229,8 +238,12 @@ def find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
     masks = [int(text.translate({**zeros, ord(c): "1"}), 2) for c in letters]
     # Spans grow by a fixed amount per period; adding it is cheaper than
     # calling kind.span once per period.
-    growth = kind.span(2) - kind.span(1)
     p, span = 1, kind.min_span
+    growth = kind.span(2) - span
+    if span < min_span:
+        p += -(-(min_span - span) // growth)  # the first span >= min_span
+        span = kind.span(p)
+    starts = None if start_below is None else (1 << start_below) - 1
     while span <= n:
         eq = 0
         for m in masks:
@@ -242,7 +255,10 @@ def find_pattern(word: Word, kind: PatternKind) -> Occurrence | None:
             eq &= eq >> step
             have += step
         if eq:
-            return Occurrence(kind, (eq & -eq).bit_length() - 1, p)
+            if starts is not None:
+                eq &= starts
+            if eq:
+                return Occurrence(kind, (eq & -eq).bit_length() - 1, p)
         p += 1
         span += growth
     return None

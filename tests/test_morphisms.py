@@ -56,8 +56,15 @@ def test_morphism_from_a_list_of_images_equals_the_catalog_entry():
 
 def test_apply_rejects_foreign_word():
     m = Morphism.from_strings("01", ["01", "10"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word is not over the source alphabet"):
         m.apply(parse_word("2", TERN))
+    with pytest.raises(ValueError, match="word is not over the source alphabet"):
+        m.apply(parse_word("01", Alphabet.from_string("10")))
+    # apply tests identity first, then equality: an equal alphabet object
+    # that is not m.source is still the source alphabet
+    equal = Alphabet.from_string("01")
+    assert equal is not m.source
+    assert m.apply(parse_word("01", equal)) == m.apply(parse_word("01", m.source))
 
 
 @given(

@@ -297,6 +297,39 @@ def test_find_pattern_matches_naive_scan_exhaustively(k, max_len):
                 assert find_pattern(word, kind) == naive_find_pattern(word, kind), (t, kind)
 
 
+@pytest.mark.parametrize("k, max_len", [(2, 9), (3, 6)])
+def test_bounded_find_pattern_matches_naive_scan_exhaustively(k, max_len):
+    # Every occurrence as (span, start, period), in the witness order; the
+    # bounded scan returns the first with start < start_below and
+    # span >= min_span.
+    alphabet = Alphabet.from_string("012"[:k])
+    for length in range(max_len + 1):
+        for t in itertools.product(range(k), repeat=length):
+            word = Word(t, alphabet)
+            for kind in PatternKind:
+                found = [
+                    (kind.span(p), i, p)
+                    for p in range(1, length + 1)
+                    for i in range(length - kind.span(p) + 1)
+                    if occurs_at(t, kind, i, p)
+                ]
+                least = Occurrence(kind, *found[0][1:]) if found else None
+                assert find_pattern(word, kind) == least, (t, kind)
+                assert find_pattern(word, kind, start_below=None, min_span=0) == least
+                for start_below in range(length + 1):
+                    for min_span in range(length + 2):
+                        expected = next(
+                            ((i, p) for span, i, p in found
+                             if i < start_below and span >= min_span),
+                            None,
+                        )
+                        got = find_pattern(
+                            word, kind, start_below=start_below, min_span=min_span
+                        )
+                        got = None if got is None else (got.start, got.period)
+                        assert got == expected, (t, kind, start_below, min_span)
+
+
 @st.composite
 def words_over_small_alphabets(draw):
     # Up to five letters, of which the word may use only some.
