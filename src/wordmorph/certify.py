@@ -154,17 +154,17 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
     of words starting with 0 are scanned: every other word has an earlier
     copy starting with 0 that is a counterexample exactly when it is.
 
-    Each scan looks only at occurrences that span the image's first and
-    last tiles. By the time w comes up, w[1:] and w[:-1] are kind-free
-    (kind-free words are factor-closed), shorter, and their images are
-    clean: the search stops at the first hit, and on the one-orbit path
-    each of them has a copy starting with 0 whose image was scanned, and
-    a commuting permutation maps images and their occurrences to each
-    other. So every occurrence in h(w) starts inside h(w[0]) and ends
-    inside h(w[-1]): start < |h(w[0])| and span >= |h(w)| - |h(w[0])| -
-    |h(w[-1])| + 2. These bounds hold for every occurrence, so the first
-    hit of the bounded scan is the minimal one; for |w| = 1 they bound
-    nothing.
+    Each scan skips the spans too short for an occurrence to reach from
+    the image's first tile into its last. By the time w comes up, w[1:]
+    and w[:-1] are kind-free (kind-free words are factor-closed), shorter,
+    and their images are clean: the search stops at the first hit, and on
+    the one-orbit path each of them has a copy starting with 0 whose image
+    was scanned, and a commuting permutation maps images and their
+    occurrences to each other. So every occurrence in h(w) starts inside
+    h(w[0]) and ends inside h(w[-1]), and its span is at least |h(w)| -
+    |h(w[0])| - |h(w[-1])| + 2. The bound holds for every occurrence, so
+    the first hit of the bounded scan is the minimal one; for |w| = 1 it
+    bounds nothing.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -179,9 +179,7 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
             continue
         image = m.apply(w)
         first, last = image_len[sym[0]], image_len[sym[-1]]
-        occ = find_pattern(
-            image, kind, start_below=first, min_span=len(image) - first - last + 2
-        )
+        occ = find_pattern(image, kind, min_span=len(image) - first - last + 2)
         if occ is not None:
             cex = Counterexample(Direction.FORWARD, w, image, occ)
             break
@@ -435,7 +433,7 @@ def _explain_aligned(
     # pattern itself.
     base = stretch.symbols[:qt]
     reps = -(-len(stretch) // qt)
-    ideal = _trusted_word((base * reps)[:len(stretch)], word.alphabet)
+    ideal = Word((base * reps)[:len(stretch)], word.alphabet)
     lines.append(
         f"  tile contents repeat every {qt} tile(s); a preimage doing the same"
         f" over tiles {s0}..{s0 + len(stretch) - 1} would read {ideal.text}"

@@ -16,14 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .morphisms import Morphism
-from .words import (
-    Occurrence,
-    PatternKind,
-    Word,
-    _trusted_word,
-    enumerate_pattern_free,
-    find_pattern,
-)
+from .words import Occurrence, PatternKind, Word, enumerate_pattern_free, find_pattern
 
 
 class NonUniformError(ValueError):
@@ -242,13 +235,9 @@ def check_lemma_consequences(
     if len(m.source) <= 1:
         raise ValueError("lemma consequences need at least two source letters")
     k = len(m.source)
-    singles = _image_witnesses(
-        m, [_trusted_word((a,), m.source) for a in range(k)], PatternKind.OVERLAP
-    )
+    singles = _image_witnesses(m, [Word((a,), m.source) for a in range(k)], PatternKind.OVERLAP)
     pairs = _image_witnesses(
-        m,
-        [_trusted_word(t, m.source) for t in itertools.product(range(k), repeat=2)],
-        PatternKind.OVERLAP,
+        m, [Word(t, m.source) for t in itertools.product(range(k), repeat=2)], PatternKind.OVERLAP
     )
     return (
         ConditionReport("single-images", singles, words_checked=k),

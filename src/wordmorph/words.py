@@ -203,9 +203,7 @@ def count_factor(word: Word, factor: Word) -> int:
     return sum(1 for i in range(len(sym) - len(f) + 1) if sym[i:i + len(f)] == f)
 
 
-def find_pattern(
-    word: Word, kind: PatternKind, *, start_below: int | None = None, min_span: int = 0
-) -> Occurrence | None:
+def find_pattern(word: Word, kind: PatternKind, *, min_span: int = 0) -> Occurrence | None:
     """First occurrence in (span, start) order, or None if the word avoids the kind.
 
     Smallest span wins, ties by smallest start; for a fixed kind the span
@@ -221,12 +219,9 @@ def find_pattern(
     set; shift-ANDs with doubling steps leave bit i set only at such starts,
     and the lowest set bit is the leftmost one.
 
-    The keyword bounds restrict the scan to occurrences with start <
-    start_below (any start when None) and span >= min_span, and the result is
-    the first of those in the same order. Periods start at the first span >=
-    min_span. The start mask is applied only after the doubling steps: they
-    AND bit i with bits up to i + span - p - 1, which lie above the start
-    window, so masking before them would lose occurrences.
+    min_span restricts the scan to occurrences with span >= min_span: the
+    period loop starts at the first such span, and the result is the first
+    of those occurrences in the same order.
     """
     sym = word.symbols
     n = len(sym)
@@ -243,7 +238,6 @@ def find_pattern(
     if span < min_span:
         p += -(-(min_span - span) // growth)  # the first span >= min_span
         span = kind.span(p)
-    starts = None if start_below is None else (1 << start_below) - 1
     while span <= n:
         eq = 0
         for m in masks:
@@ -255,10 +249,7 @@ def find_pattern(
             eq &= eq >> step
             have += step
         if eq:
-            if starts is not None:
-                eq &= starts
-            if eq:
-                return Occurrence(kind, (eq & -eq).bit_length() - 1, p)
+            return Occurrence(kind, (eq & -eq).bit_length() - 1, p)
         p += 1
         span += growth
     return None
