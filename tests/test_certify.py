@@ -499,6 +499,78 @@ def test_backward_counterexample_reports_the_minimal_word_occurrence(monkeypatch
     assert fast.checked_by_length[6] == 0
 
 
+@pytest.mark.parametrize(
+    "name, kind, depth",
+    [("leech", PatternKind.SQUARE, 6), ("thue_morse", PatternKind.OVERLAP, 8),
+     ("g4", PatternKind.OVERLAP, 4)],
+    ids=["leech-square", "thue_morse-overlap", "g4-overlap"],
+)
+def test_backward_search_builds_only_zero_word_images_on_one_orbit(monkeypatch, name, kind, depth):
+    # Every kind-containing word is walked and counted. On the one-orbit
+    # path only the words that start with 0 have their images built; g4 has
+    # no letter symmetry, so there every kind-containing word has.
+    m = catalog(name)
+    naive = naive_search_backward(m, kind, depth)
+    containing = [
+        w
+        for length in range(1, depth + 1)
+        for t in itertools.product(range(len(m.source)), repeat=length)
+        if find_pattern(w := Word(t, m.source), kind) is not None
+    ]
+    applied = []
+    apply = Morphism.apply
+
+    def recording(self, w):
+        applied.append(w)
+        return apply(self, w)
+
+    monkeypatch.setattr(Morphism, "apply", recording)
+    res = search_backward(m, kind, depth)
+    if certify_module._one_orbit(m):
+        assert applied == [w for w in containing if w.symbols[0] == 0]
+        assert len(applied) < len(containing)
+    else:
+        assert applied == containing
+    assert res.checked_by_length == naive.checked_by_length
+
+
+def test_symmetric_backward_search_that_stops(monkeypatch):
+    # The rotation 0 -> 1 -> 2 -> 0 commutes with this morphism. Make the
+    # image scan miss on the image of the 0-word "01011", which inherits the
+    # square 0101 of its parent but whose minimal square is the final 11.
+    # Every word before it is counted, 32 at the stop length, no multiple
+    # of 3.
+    m = Morphism.from_strings("012", ["01", "12", "20"])
+    assert certify_module._one_orbit(m)
+    word = parse_word("01011", m.source)
+    image = m.apply(word)
+    scan = find_pattern
+
+    def blind_on_image(w, kind):
+        return None if w == image else scan(w, kind)
+
+    monkeypatch.setattr(Occurrence, "matches", lambda self, word: False)
+    monkeypatch.setattr(certify_module, "find_pattern", blind_on_image)
+    monkeypatch.setattr(sys.modules[__name__], "find_pattern", blind_on_image)
+    fast = search_backward(m, PatternKind.SQUARE, 6)
+    naive = naive_search_backward(m, PatternKind.SQUARE, 6)
+    assert fast.counterexample == Counterexample(
+        Direction.BACKWARD, word, image, Occurrence(PatternKind.SQUARE, 3, 1)
+    )
+    assert fast.counterexample == naive.counterexample
+    assert fast.checked_by_length == naive.checked_by_length
+    assert fast.checked_by_length == {1: 0, 2: 3, 3: 15, 4: 63, 5: 32, 6: 0}
+
+
+@given(block_morphisms(), st.sampled_from(list(PatternKind)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_backward_matches_naive_search_on_block_morphisms(m, kind, data):
+    # several orbits, or one whose commuting permutations are not shifts
+    k = len(m.source)
+    depth = data.draw(st.integers(kind.min_span, {2: 6, 3: 5, 4: 4}.get(k, 3)))
+    assert_same_backward_search(m, kind, depth)
+
+
 def test_residues_examples_and_validation():
     assert residues(3, 4, 13) == (3, 7, 11)
     assert residues(0, 13, 13) == (0, 0, 0)
