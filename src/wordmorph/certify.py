@@ -216,8 +216,10 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
     Counts, witness and stop point are those of scanning every word and
     every image.
 
-    The rank list keeps one reference per word of the current length: k^L
-    at the last length, 65,536 references (0.5 MB) for g4 at max_len 8.
+    The rank list keeps one reference per word of the current length, and
+    while a length is built the previous length's list is alive too:
+    k^(L-1) + k^L references at the last length, 81,920 (about 0.66 MB) for
+    g4 at max_len 8.
     """
     if max_len < kind.min_span:
         article = "an" if kind is PatternKind.OVERLAP else "a"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .words import Alphabet, Word, _trusted_word, parse_word
 
@@ -65,11 +65,21 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
     """First target_len letters of the fixed point of m on the given seed letter.
 
     Requires source == target and an image of seed beginning with seed. With
-    h = m, the fixed point x then satisfies x = h(x) = h(x[0]) h(x[1]) ..., so
-    one left-to-right pass reads it off itself: start from h(seed) and append
-    h(x[i]) for i = 1, 2, ... Each step reads one letter and writes at least
-    one, so x[i] is always known when it is read. The only stop is
-    h(seed) == seed, which raises once target_len asks for a second letter.
+    h = m, the fixed point x then satisfies x = h(x), hence x = g(x) for every
+    power g = h^r, and g(seed) begins with seed too. So one left-to-right pass
+    reads x off itself: start from g(seed) and append g(x[i]) for
+    i = 1, 2, ... Each step reads one letter and writes at least one, so x[i]
+    is always known when it is read.
+
+    r is the least power whose longest image has at least sqrt(target_len)
+    letters, so the pass reads about target_len / |g(a)| letters instead of
+    target_len / |h(a)|. g is built one h per round, g(a) becoming
+    g(b1) g(b2) ... for h(a) = b1 b2 ... The longest image bounds r, not the
+    seed's, since another letter may grow exponentially while the seed
+    grows linearly. g's images then stay under sqrt(target_len) * max |h(a)|
+    letters, and time and memory stay linear in target_len. The only stop
+    is h(seed) == seed, which raises once target_len asks for a second
+    letter; it is checked before g is built.
     """
     if m.source != m.target:
         raise ValueError("iteration requires source and target alphabets to match")
@@ -82,14 +92,19 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
             f"morphism is not prolongable on {seed!r}:"
             f" its image begins with {m.source.letters[first]!r}"
         )
-    word = list(m.images[s].symbols)
-    if len(word) == 1 and target_len > 1:
+    if len(m.images[s]) == 1 and target_len > 1:
         raise ValueError(f"iteration on {seed!r} stops growing at length 1")
+    h = [im.symbols for im in m.images]
+    g = h
+    while max(map(len, g)) ** 2 < target_len:
+        g = [tuple(chain.from_iterable(map(g.__getitem__, image))) for image in h]
+    word = list(g[s])
     for letter in islice(word, 1, None):
         if len(word) >= target_len:
             break
-        word.extend(m.images[letter].symbols)
-    return _trusted_word(tuple(word[:target_len]), m.source)
+        word.extend(g[letter])
+    del word[target_len:]
+    return _trusted_word(tuple(word), m.source)
 
 
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {

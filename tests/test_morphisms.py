@@ -165,7 +165,9 @@ def prolongable_morphisms(draw):
     return images, seed
 
 
-@given(prolongable_morphisms(), st.integers(1, 500))
+# up to 5,000 letters, so that iterate_prefix reads with a power h^r, r >= 2,
+# for every image length drawn (images have at most 6 letters)
+@given(prolongable_morphisms(), st.integers(1, 5000))
 @settings(max_examples=300, deadline=None)
 def test_iterate_prefix_agrees_with_naive_iteration(morphism, target_len):
     images, seed = morphism
@@ -180,6 +182,32 @@ def test_iterate_prefix_agrees_with_naive_iteration(morphism, target_len):
         prefix = iterate_prefix(m, seed, target_len)
         assert prefix.text == expected
         assert_same_as_validated(prefix)
+
+
+def test_iterate_prefix_lopsided_growth():
+    # the seed's image grows linearly and letter 2's exponentially: the power
+    # of h is bounded by the longest image, not by the seed's
+    images = {"0": "01", "1": "1", "2": "2222"}
+    m = Morphism.from_strings("012", list(images.values()))
+    # naive_iterate takes one round per letter here, so it runs to 2,000
+    assert iterate_prefix(m, "0", 2000).text == naive_iterate(images, "0", 2000)
+    assert iterate_prefix(m, "0", 10**5).text == "0" + "1" * (10**5 - 1)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_iterate_prefix_catalog_at_power_boundaries(name):
+    # around |h^r(seed)| the read-off loop starts reading or stops at once,
+    # and around (longest |h^r(a)|)^2 the power r changes
+    m = catalog(name)
+    images = {letter: m.image(letter).text for letter in m.source.letters}
+    lengths = {10**5}
+    power = dict(images)
+    while max(map(len, power.values())) ** 2 <= 10**5:
+        for n in (len(power["0"]), max(map(len, power.values())) ** 2):
+            lengths |= {n - 1, n, n + 1}
+        power = {a: "".join(power[b] for b in image) for a, image in images.items()}
+    for length in sorted(lengths):
+        assert iterate_prefix(m, "0", length).text == naive_iterate(images, "0", length)
 
 
 def test_iterate_and_apply_build_no_checked_words(word_checks):
