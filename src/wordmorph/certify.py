@@ -96,51 +96,38 @@ def _one_orbit(m: Morphism) -> bool:
     if m.source != m.target:
         return False
     images = [im.symbols for im in m.images]
-    return all(
-        _commuting_permutation(images, b) is not None for b in range(1, len(images))
-    )
+    form = _relabelled_images(images, 0)
+    return all(_relabelled_images(images, b) == form for b in range(1, len(images)))
 
 
-def _commuting_permutation(images: list[tuple[int, ...]], b: int) -> dict[int, int] | None:
-    # Fix sigma(0) = b and propagate sigma(m(x)[i]) = m(sigma(x))[i]
-    # through the images. Where that leaves letters unassigned, map the
-    # least of them to the least unused letter and propagate again; None at
-    # the first conflict. Every assigned letter's image is compared with the
-    # image of its target letter, position by position, so a map this
-    # completes commutes with m and needs no second check. No choice
-    # needs undoing when the group maps 0 to every letter: then every letter
+def _relabelled_images(images: list[tuple[int, ...]], start: int) -> list[list[int]]:
+    # The images renamed by the order in which letters are first met: start
+    # first, then the new letters of each met letter's image in turn, and
+    # when that runs out the least letter not yet met. Equal forms from 0
+    # and from b pair the i-th met letters into a permutation sigma with
+    # sigma(0) = b and m(sigma(x)) = sigma(m(x)) for every letter x.
+    # Conversely, when the group maps 0 to every letter, its element with
+    # sigma(0) = b maps the letters met from 0 to those met from b, in turn,
+    # up to the first restart. The restart is safe: every letter then
     # reaches equally many letters through the images, so the letters one
     # letter reaches form a block that each of them reaches, and group
-    # elements map blocks onto blocks. The assigned letters fill whole
-    # blocks on both sides, so the free and the unused letter lie in
-    # untouched blocks, and propagating from one to the other builds the
-    # restriction of the group element that maps one to the other.
+    # elements map blocks onto blocks. The met letters fill whole blocks
+    # from either start, so both restart letters lie in untouched blocks,
+    # and the group element that maps one to the other maps its block's
+    # letters, in meeting order, onto the other's.
     k = len(images)
-    sigma: dict[int, int] = {}
-    used: set[int] = set()
-    a, c = 0, b
-    while True:
-        sigma[a] = c
-        used.add(c)
-        todo = [a]
-        while todo:
-            x = todo.pop()
-            src, dst = images[x], images[sigma[x]]
-            if len(src) != len(dst):
-                return None
-            for s, t in zip(src, dst):
-                if s not in sigma:
-                    if t in used:
-                        return None
-                    sigma[s] = t
-                    used.add(t)
-                    todo.append(s)
-                elif sigma[s] != t:
-                    return None
-        if len(sigma) == k:
-            return sigma
-        a = min(x for x in range(k) if x not in sigma)
-        c = min(y for y in range(k) if y not in used)
+    order = [start]
+    name = {start: 0}
+    for i in range(k):
+        if i == len(order):
+            restart = min(a for a in range(k) if a not in name)
+            name[restart] = i
+            order.append(restart)
+        for s in images[order[i]]:
+            if s not in name:
+                name[s] = len(order)
+                order.append(s)
+    return [[name[s] for s in images[a]] for a in order]
 
 
 def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
@@ -402,7 +389,7 @@ def explain(m: Morphism, cex: Counterexample) -> str:
             f" case {diag.case_label.value}"
         )
     else:
-        r0, r1 = j0 % n, (j0 + p) % n
+        r0, r1, _ = residues(j0, p, n)
         lines.append(
             f"  start-mark residues mod {n}: r0={r0} r1={r1};"
             f" {'aligned' if p % n == 0 else 'misaligned'}"

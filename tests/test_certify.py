@@ -289,6 +289,25 @@ def test_one_orbit_detector_matches_all_permutations(m):
     assert certify_module._one_orbit(m) == (orbit == set(range(len(m.source))))
 
 
+def uniform_morphisms(k: int, n: int):
+    # Every morphism on k letters whose images all have length n.
+    letters = "0123"[:k]
+    words = ["".join(w) for w in itertools.product(letters, repeat=n)]
+    for images in itertools.product(words, repeat=k):
+        yield Morphism.from_strings(letters, images)
+
+
+def test_one_orbit_detector_matches_all_permutations_exhaustively():
+    one_orbit = 0
+    for k, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1)]:
+        for m in uniform_morphisms(k, n):
+            orbit = {sigma[0] for sigma in all_commuting_permutations(m)}
+            expected = orbit == set(range(k))
+            assert certify_module._one_orbit(m) == expected, m
+            one_orbit += expected
+    assert one_orbit == 79
+
+
 def test_one_orbit_detector_examples():
     assert certify_module._one_orbit(catalog("thue_morse"))
     assert certify_module._one_orbit(catalog("leech"))
@@ -298,9 +317,14 @@ def test_one_orbit_detector_examples():
     assert not certify_module._one_orbit(Morphism.from_strings("012", ["01", "10", "22"]))
     # every letter maps to 1, so only the identity commutes
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["1", "1"]))
-    # only separate components: the propagation forces nothing beyond 0
+    # only separate components: the relabelling restarts at every letter
     assert certify_module._one_orbit(Morphism.from_strings("0123", ["00", "11", "22", "33"]))
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "10"], target="10"))
+    # a Latin-square morphism in which 0 reaches only 0 and 2, so the
+    # relabelling restarts at 1
+    assert certify_module._one_orbit(Morphism.from_strings("0123", ["02", "13", "20", "31"]))
+    # image lengths differ, so no permutation moves 0
+    assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "100"]))
     # f4 with letters 1 and 2 swapped: its commuting permutations are the
     # relabelled shifts, and the shift a -> a + 1 mod 4 is not among them
     swapped = Morphism.from_strings("0123", [
@@ -323,6 +347,15 @@ def test_searches_match_naive_on_latin_square_morphisms(m, kind, data):
     depth = data.draw(st.integers(kind.min_span, {2: 6, 3: 5, 4: 4}.get(k, 3)))
     assert_same_forward_search(m, kind, depth)
     assert_same_backward_search(m, kind, depth)
+
+
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda kind: kind.value)
+def test_searches_match_naive_on_all_short_uniform_binary_morphisms(kind):
+    # the swap-symmetric ones among these take both one-orbit paths
+    for n in (1, 2, 3):
+        for m in uniform_morphisms(2, n):
+            assert_same_forward_search(m, kind, 6)
+            assert_same_backward_search(m, kind, 6)
 
 
 def counted_scans(monkeypatch) -> list:
