@@ -101,29 +101,20 @@ def _one_orbit(m: Morphism) -> bool:
 
 
 def _relabelled_images(images: list[tuple[int, ...]], start: int) -> list[list[int]]:
-    # The images renamed by the order in which letters are first met: start
-    # first, then the new letters of each met letter's image in turn, and
-    # when that runs out the least letter not yet met. Equal forms from 0
-    # and from b pair the i-th met letters into a permutation sigma with
-    # sigma(0) = b and m(sigma(x)) = sigma(m(x)) for every letter x.
-    # Conversely, when the group maps 0 to every letter, its element with
-    # sigma(0) = b maps the letters met from 0 to those met from b, in turn,
-    # up to the first restart. The restart is safe: every letter then
-    # reaches equally many letters through the images, so the letters one
-    # letter reaches form a block that each of them reaches, and group
-    # elements map blocks onto blocks. The met letters fill whole blocks
-    # from either start, so both restart letters lie in untouched blocks,
-    # and the group element that maps one to the other maps its block's
-    # letters, in meeting order, onto the other's.
-    k = len(images)
+    # The images of the letters reachable from start, renamed by the order
+    # in which letters are first met: start first, then the new letters of
+    # each met letter's image in turn. Equal forms from every letter give
+    # every reachable set the same size. A letter reachable from a reaches a
+    # subset of a's set, so it reaches exactly that set, and the sets are
+    # disjoint blocks. Pairing the i-th met letters maps 0's block onto b's
+    # block with m(sigma(x)) = sigma(m(x)); with its inverse on b's block
+    # and the identity elsewhere it is a commuting sigma with sigma(0) = b.
+    # Conversely, a commuting sigma with sigma(0) = b maps the letters met
+    # from 0 to those met from b, in turn, so the forms are equal.
     order = [start]
     name = {start: 0}
-    for i in range(k):
-        if i == len(order):
-            restart = min(a for a in range(k) if a not in name)
-            name[restart] = i
-            order.append(restart)
-        for s in images[order[i]]:
+    for a in order:
+        for s in images[a]:
             if s not in name:
                 name[s] = len(order)
                 order.append(s)
@@ -412,22 +403,20 @@ def _explain_aligned(
     qt = p // n  # tiles per period
     s0 = j0 // n
     lines = [f"  aligned: the period {p} is {qt} whole tile(s)"]
-    if kind is PatternKind.OVERLAP:
-        tiles = (s0, s0 + qt, s0 + 2 * qt)
-        stretch = word[s0:s0 + 2 * qt + 1]
-    else:
+    if kind is PatternKind.SQUARE:
         end0, end1 = j0 + p - 1, j0 + 2 * p - 1
         lines.append(
             f"  repeated marks: letter {image.letter(j0)!r} opens both halves"
             f" (image positions {j0} and {j0 + p}), letter {image.letter(end0)!r}"
             f" closes them (positions {end0} and {end1})"
         )
-        tiles = (s0, s0 + qt)
-        stretch = word[s0:s0 + 2 * qt]
-    letters = [word.letter(s) for s in tiles]
+    # The occurrence touches the kind's span of qt tiles, and a mark opens
+    # every qt-th of them.
+    stretch = word[s0:s0 + kind.span(qt)]
+    tiles = range(s0, s0 + len(stretch), qt)
     lines.append(
         "  mark tiles and their source letters: "
-        + ", ".join(f"tile {s} <- {d!r}" for s, d in zip(tiles, letters))
+        + ", ".join(f"tile {s} <- {word.letter(s)!r}" for s in tiles)
     )
     # The image repeats with period p == qt tiles across the occurrence, so
     # tile contents repeat; if the word did the same it would carry the
@@ -439,8 +428,8 @@ def _explain_aligned(
         f"  tile contents repeat every {qt} tile(s); a preimage doing the same"
         f" over tiles {s0}..{s0 + len(stretch) - 1} would read {ideal.text}"
     )
-    # The word is kind-free, so the stretch, 2*qt (+ 1) letters long, is not
-    # periodic with period qt and differs from the ideal somewhere.
+    # The word is kind-free, so the stretch, kind.span(qt) letters long, is
+    # not periodic with period qt and differs from the ideal somewhere.
     culprits = []
     for x, y in zip(stretch.symbols, ideal.symbols):
         if x != y and m.images[x].symbols == m.images[y].symbols:

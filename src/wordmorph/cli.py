@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -295,22 +296,43 @@ def main(argv: Sequence[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         report = args.func(args)
-        if getattr(args, "json", False):
-            out: dict = {"command": args.command, "verdict": report.verdict}
-            if report.witness is not None:
-                out["witness"] = report.witness
-            out["stats"] = {
-                "words_checked": report.words_checked,
-                "max_len": report.max_len,
-                "elapsed_ms": int((time.monotonic() - t0) * 1000),
-            }
-            print(json.dumps(out))
-        else:
-            print("\n".join(report.lines))
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    if getattr(args, "json", False):
+        out: dict = {"command": args.command, "verdict": report.verdict}
+        if report.witness is not None:
+            out["witness"] = report.witness
+        out["stats"] = {
+            "words_checked": report.words_checked,
+            "max_len": report.max_len,
+            "elapsed_ms": int((time.monotonic() - t0) * 1000),
+        }
+        text = json.dumps(out)
+    else:
+        text = "\n".join(report.lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early and has what it wanted
+        _drop_stdout()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return _EXIT_CODES[report.verdict]
+
+
+def _drop_stdout() -> None:
+    # Point stdout's descriptor at devnull, so that a later flush, such as
+    # the interpreter's last one, does not fail on the closed pipe again. A
+    # stdout with no descriptor is left alone.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -317,12 +317,17 @@ def test_one_orbit_detector_examples():
     assert not certify_module._one_orbit(Morphism.from_strings("012", ["01", "10", "22"]))
     # every letter maps to 1, so only the identity commutes
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["1", "1"]))
-    # only separate components: the relabelling restarts at every letter
+    # only separate components: every letter is a block of its own
     assert certify_module._one_orbit(Morphism.from_strings("0123", ["00", "11", "22", "33"]))
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "10"], target="10"))
-    # a Latin-square morphism in which 0 reaches only 0 and 2, so the
-    # relabelling restarts at 1
+    # a Latin-square morphism in which 0 reaches only 0 and 2, and 1 the
+    # isomorphic block 1, 3
     assert certify_module._one_orbit(Morphism.from_strings("0123", ["02", "13", "20", "31"]))
+    # two blocks, 0, 1 and 2, 3, at k = 4 and n = 2: isomorphic, then of
+    # equal size but not isomorphic, then of different sizes
+    assert certify_module._one_orbit(Morphism.from_strings("0123", ["01", "10", "23", "32"]))
+    assert not certify_module._one_orbit(Morphism.from_strings("0123", ["01", "10", "32", "23"]))
+    assert not certify_module._one_orbit(Morphism.from_strings("0123", ["01", "10", "22", "33"]))
     # image lengths differ, so no permutation moves 0
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "100"]))
     # f4 with letters 1 and 2 swapped: its commuting permutations are the
@@ -732,6 +737,22 @@ def test_explain_aligned_square_counterexample():
     assert "aligned" in text
     assert "share one image" in text
     assert "'1'" in text and "'2'" in text
+    assert text == "\n".join([
+        "forward square counterexample",
+        "  word:  12 (square-free, length 2)",
+        "  image: cdcd (length 4)",
+        "  square at start 0, period 2: factor cdcd",
+        "  tiles are the 2-letter images; occurrence touches tiles 0..1 (2 of them)",
+        "  start-mark residues mod 2: r0=0 r1=0; aligned",
+        "  aligned: the period 2 is 1 whole tile(s)",
+        "  repeated marks: letter 'c' opens both halves (image positions 0 and 2),"
+        " letter 'd' closes them (positions 1 and 3)",
+        "  mark tiles and their source letters: tile 0 <- '1', tile 1 <- '2'",
+        "  tile contents repeat every 1 tile(s); a preimage doing the same over"
+        " tiles 0..1 would read 11",
+        "  the word reads 12 instead; the image repetition survives because"
+        " distinct letters map to matching content: letters '2' and '1' share one image",
+    ])
 
 
 def test_explain_aligned_overlap_counterexample():
@@ -744,6 +765,20 @@ def test_explain_aligned_overlap_counterexample():
     assert "case aligned" in text
     assert "r0=0 r1=0 r2=0" in text
     assert "share one image" in text
+    assert text == "\n".join([
+        "forward overlap counterexample",
+        "  word:  001 (overlap-free, length 3)",
+        "  image: ababab (length 6)",
+        "  overlap at start 0, period 2: factor ababa",
+        "  tiles are the 2-letter images; occurrence touches tiles 0..2 (3 of them)",
+        "  mark residues mod 2: r0=0 r1=0 r2=0; case aligned",
+        "  aligned: the period 2 is 1 whole tile(s)",
+        "  mark tiles and their source letters: tile 0 <- '0', tile 1 <- '0', tile 2 <- '1'",
+        "  tile contents repeat every 1 tile(s); a preimage doing the same over"
+        " tiles 0..2 would read 000",
+        "  the word reads 001 instead; the image repetition survives because"
+        " distinct letters map to matching content: letters '1' and '0' share one image",
+    ])
 
 
 def test_explain_short_span_points_at_triples():

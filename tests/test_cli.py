@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 from pathlib import Path
 
@@ -228,6 +232,59 @@ def test_iterate_not_prolongable(tmp_path):
     res = run_cli("iterate", str(f), "--seed", "0", "--length", "8")
     assert res.returncode == 2
     assert "prolongable" in res.stderr
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # 100,000 letters overfill the pipe, so the write is still blocked
+    # when the reader closes its end
+    argv = [sys.executable, "-m", "wordmorph", "iterate", "thue_morse", "--seed", "0",
+            "--length", "100000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"0110100110"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 0
+    # a reader gone before the write still gets the verdict's exit code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "wordmorph", "certify", "f4", "--pattern", "square",
+             "--max-len", "2", "--direction", "forward"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), 1, ""),
+    (OSError(errno.ENOSPC, "No space left on device"), 2,
+     "error: [Errno 28] No space left on device\n"),
+])
+def test_failed_report_write_in_process(exc, code, err, monkeypatch, capsys):
+    # a stdout with no file descriptor, whose every write fails
+    class FailingStdout(io.StringIO):
+        def write(self, s):
+            raise exc
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    assert cli.main(["check-word", "0101", "--pattern", "square", "--alphabet", "01"]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_broken_pipe_leaves_stdout_writable(monkeypatch, capsys):
+    # stdout's descriptor now points at devnull, so a later flush, such as
+    # the interpreter's last one, cannot fail on the closed pipe again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["check-word", "0101", "--pattern", "square", "--alphabet", "01"]) == 1
+        stdout.write("more\n")
+        stdout.flush()
+    assert capsys.readouterr().err == ""
 
 
 def test_catalog_list():
