@@ -91,7 +91,7 @@ def _one_orbit(m: Morphism) -> bool:
     occurrences with the same start and period, so w is a counterexample in
     either direction exactly when sigma(w) is. The permutations that commute
     form a group; when it maps 0 to every letter, every word has a copy
-    starting with 0.
+    starting with 0. Only the forward search uses it.
     """
     if m.source != m.target:
         return False
@@ -167,37 +167,33 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
 def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
     """Look for a kind-containing word with a kind-free image up to max_len, shortest first.
 
-    Words of each length are walked in lexicographic order, and the list
-    `prev` holds, at each word's lexicographic rank, an occurrence of the
-    pattern in the word's image, or None if the word is kind-free. The
-    parent (the word less its last letter) of the word of rank r has rank
-    r // k. A child of a kind-containing parent contains the parent's
-    occurrence, and since h(child) = h(parent) h(last letter), it inherits
-    the parent's image occurrence at the same offset. Only children of
-    kind-free parents are scanned. An occurrence at start i with period p in
-    the word, the prefix of length span(p) = m*p + span(0) of uuu... for
-    u = w[i:i+p], maps under any non-erasing h to one at start |h(w[:i])|
-    with period P = |h(u)|: its image h(u)^m h(u[:span(0)]) begins with the
-    prefix of length m*P + span(0) = span(P) of h(u)h(u)....
+    Words of each length are walked in lexicographic order, and the flag
+    list `prev` holds, at each word's lexicographic rank, whether the word
+    contains the kind. The parent (the word less its last letter) of the
+    word of rank r has rank r // k. A child of a kind-containing parent
+    contains the kind too, and since h(child) = h(parent) h(last letter),
+    its image contains every occurrence in h(parent), which has one: else
+    the search would have stopped at the parent's first kind-containing
+    prefix, whose image is a prefix of h(parent). So only the children of
+    kind-free parents (the empty word included) are scanned, and only the
+    fresh ones among them, those that contain the kind, have an image built.
 
-    Every kind-containing word is walked and counted, and its image
-    occurrence is kept at its rank for its children. The image is built,
-    and the occurrence confirmed on it by a letter comparison in O(span),
-    for every such word unless the letter permutations commuting with m map
-    0 to every letter (`_one_orbit`); then only for the words starting with
-    0. Such a permutation sigma with sigma(0) = w[0] gives h(w) =
-    sigma(h(w0)) for the word w0 = sigma^-1(w), which starts with 0, has
-    w's length and comes earlier, so h(w) is kind-free exactly when h(w0)
-    is, and the search would have stopped at w0. Only if a confirmation
-    fails is the image scanned in full, and only if the scan finds nothing
-    is the word a counterexample, reported with its minimal occurrence.
-    Counts, witness and stop point are those of scanning every word and
+    An occurrence at start i with period p in the word, the prefix of
+    length span(p) = m*p + span(0) of uuu... for u = w[i:i+p], maps under
+    any non-erasing h to one at start |h(w[:i])| with period P = |h(u)|:
+    its image h(u)^m h(u[:span(0)]) begins with the prefix of length
+    m*P + span(0) = span(P) of h(u)h(u).... Each fresh word's occurrence is
+    mapped that way and confirmed on its image by a letter comparison in
+    O(span). Only if a confirmation fails is the image scanned in full, and
+    only if the scan finds nothing is the word a counterexample, reported
+    with its minimal occurrence. Every kind-containing word is counted, so
+    counts, witness and stop point are those of scanning every word and
     every image.
 
-    The rank list keeps one reference per word of the current length, and
-    while a length is built the previous length's list is alive too:
-    k^(L-1) + k^L references at the last length, 81,920 (about 0.66 MB) for
-    g4 at max_len 8.
+    The rank lists hold one flag per word, a reference to True or False:
+    k^(L-1) + k^L references at the last length, 81,920 (about 0.66 MB)
+    for g4 at max_len 8. A bytearray would take an eighth of that, but
+    walked leech, square, depth 12 5–15 % slower.
     """
     if max_len < kind.min_span:
         article = "an" if kind is PatternKind.OVERLAP else "a"
@@ -206,38 +202,32 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
             " in the word"
         )
     k = len(m.source)
-    one_orbit = _one_orbit(m)
     image_len = [len(im) for im in m.images]
     checked = {length: 0 for length in range(1, max_len + 1)}
-    prev: list[Occurrence | None] = [None]
+    prev = [False]
     for length in range(1, max_len + 1):
-        cur: list[Occurrence | None] = []
+        cur: list[bool] = []
         for rank, t in enumerate(itertools.product(range(k), repeat=length)):
-            image_occ = prev[rank // k]
-            if image_occ is None:
-                occ = find_pattern(_trusted_word(t, m.source), kind)
-                if occ is not None:
-                    i, p = occ.start, occ.period
-                    image_occ = Occurrence(
-                        kind,
-                        sum(image_len[s] for s in t[:i]),
-                        sum(image_len[s] for s in t[i:i + p]),
-                    )
-            cur.append(image_occ)
-            if image_occ is None:
-                continue
-            checked[length] += 1
-            if one_orbit and t[0]:
+            if prev[rank // k]:
+                cur.append(True)
+                checked[length] += 1
                 continue
             w = _trusted_word(t, m.source)
+            occ = find_pattern(w, kind)
+            cur.append(occ is not None)
+            if occ is None:
+                continue
+            checked[length] += 1
+            i, p = occ.start, occ.period
+            image_occ = Occurrence(
+                kind,
+                sum(image_len[s] for s in t[:i]),
+                sum(image_len[s] for s in t[i:i + p]),
+            )
             image = m.apply(w)
-            if not image_occ.matches(image):
-                cur[-1] = find_pattern(image, kind)
-                if cur[-1] is None:
-                    cex = Counterexample(
-                        Direction.BACKWARD, w, image, find_pattern(w, kind)
-                    )
-                    return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
+            if not image_occ.matches(image) and find_pattern(image, kind) is None:
+                cex = Counterexample(Direction.BACKWARD, w, image, occ)
+                return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
         prev = cur
     return SearchResult(Direction.BACKWARD, kind, max_len, None, checked)
 

@@ -485,19 +485,27 @@ def test_backward_matches_naive_search_on_random_morphisms(m, kind, data):
 @settings(max_examples=60, deadline=None)
 def test_backward_confirms_each_image_occurrence_without_a_scan(m, kind):
     # The image of the word's own occurrence is an occurrence in the image,
-    # so no image over the target alphabet ever needs a full scan, and only
-    # the children of kind-free words (the empty word included) are scanned.
-    scanned = []
+    # so no image over the target alphabet ever needs a full scan. Only the
+    # children of kind-free words (the empty word included) are scanned,
+    # and only the images of those that contain the kind are built.
+    scanned, applied = [], []
+    apply = Morphism.apply
 
     def scan_source_words_only(w, kind):
         assert w.alphabet == m.source, f"full scan of image {w.text}"
         scanned.append(w)
         return find_pattern(w, kind)
 
-    with mock.patch.object(certify_module, "find_pattern", scan_source_words_only):
+    def recording(self, w):
+        applied.append(w)
+        return apply(self, w)
+
+    with mock.patch.object(certify_module, "find_pattern", scan_source_words_only), \
+            mock.patch.object(Morphism, "apply", recording):
         search_backward(m, kind, 6)
     kind_free_parents = 1 + sum(1 for _ in enumerate_pattern_free(m.source, kind, 5))
     assert len(scanned) == len(m.source) * kind_free_parents
+    assert applied == [w for w in scanned if find_pattern(w, kind) is not None]
 
 
 def test_backward_falls_back_to_a_full_image_scan(monkeypatch):
@@ -512,49 +520,27 @@ def test_backward_falls_back_to_a_full_image_scan(monkeypatch):
         )
 
 
-def test_backward_counterexample_reports_the_minimal_word_occurrence(monkeypatch):
-    # Make the image scan miss on one image. The word "ababb" inherits the
-    # square abab of its parent but its minimal square is the final bb.
-    m = Morphism.from_strings("ab", ["xy", "xyy"], target="xy")
-    word = parse_word("ababb", m.source)
-    image = m.apply(word)
-    scan = find_pattern
-
-    def blind_on_image(w, kind):
-        return None if w == image else scan(w, kind)
-
-    monkeypatch.setattr(Occurrence, "matches", lambda self, word: False)
-    monkeypatch.setattr(certify_module, "find_pattern", blind_on_image)
-    monkeypatch.setattr(sys.modules[__name__], "find_pattern", blind_on_image)
-    fast = search_backward(m, PatternKind.SQUARE, 6)
-    naive = naive_search_backward(m, PatternKind.SQUARE, 6)
-    assert fast.counterexample == Counterexample(
-        Direction.BACKWARD, word, image, Occurrence(PatternKind.SQUARE, 3, 1)
-    )
-    assert scan(word[:4], PatternKind.SQUARE) == Occurrence(PatternKind.SQUARE, 0, 2)
-    assert fast.counterexample == naive.counterexample
-    assert fast.checked_by_length == naive.checked_by_length
-    assert fast.checked_by_length[6] == 0
-
-
 @pytest.mark.parametrize(
-    "name, kind, depth",
-    [("leech", PatternKind.SQUARE, 6), ("thue_morse", PatternKind.OVERLAP, 8),
-     ("g4", PatternKind.OVERLAP, 4)],
+    "name, kind, depth, fresh, containing",
+    [("leech", PatternKind.SQUARE, 6, 99, 981), ("thue_morse", PatternKind.OVERLAP, 8, 52, 400),
+     ("g4", PatternKind.OVERLAP, 4, 16, 32)],
     ids=["leech-square", "thue_morse-overlap", "g4-overlap"],
 )
-def test_backward_search_builds_only_zero_word_images_on_one_orbit(monkeypatch, name, kind, depth):
-    # Every kind-containing word is walked and counted. On the one-orbit
-    # path only the words that start with 0 have their images built; g4 has
-    # no letter symmetry, so there every kind-containing word has.
+def test_backward_search_builds_only_the_images_of_fresh_words(
+    monkeypatch, name, kind, depth, fresh, containing
+):
+    # Every kind-containing word is walked and counted, symmetric morphism
+    # or not. Only a fresh word, one whose parent w[:-1] is kind-free, has
+    # its image built: any other inherits an occurrence in its image from
+    # its parent's image.
     m = catalog(name)
     naive = naive_search_backward(m, kind, depth)
-    containing = [
-        w
+    words = [
+        Word(t, m.source)
         for length in range(1, depth + 1)
         for t in itertools.product(range(len(m.source)), repeat=length)
-        if find_pattern(w := Word(t, m.source), kind) is not None
     ]
+    contains = [w for w in words if find_pattern(w, kind) is not None]
     applied = []
     apply = Morphism.apply
 
@@ -564,23 +550,34 @@ def test_backward_search_builds_only_zero_word_images_on_one_orbit(monkeypatch, 
 
     monkeypatch.setattr(Morphism, "apply", recording)
     res = search_backward(m, kind, depth)
-    if certify_module._one_orbit(m):
-        assert applied == [w for w in containing if w.symbols[0] == 0]
-        assert len(applied) < len(containing)
-    else:
-        assert applied == containing
+    assert applied == [w for w in contains if find_pattern(w[:-1], kind) is None]
+    assert (len(applied), len(contains)) == (fresh, containing)
     assert res.checked_by_length == naive.checked_by_length
 
 
-def test_symmetric_backward_search_that_stops(monkeypatch):
-    # The rotation 0 -> 1 -> 2 -> 0 commutes with this morphism. Make the
-    # image scan miss on the image of the 0-word "01011", which inherits the
-    # square 0101 of its parent but whose minimal square is the final 11.
-    # Every word before it is counted, 32 at the stop length, no multiple
-    # of 3.
-    m = Morphism.from_strings("012", ["01", "12", "20"])
-    assert certify_module._one_orbit(m)
-    word = parse_word("01011", m.source)
+ROTATION = Morphism.from_strings("012", ["01", "12", "20"])
+UNEVEN = Morphism.from_strings("ab", ["xy", "xyy"], target="xy")
+
+
+@pytest.mark.parametrize(
+    "m, blind, counts",
+    [
+        (ROTATION, "1010", {1: 0, 2: 3, 3: 15, 4: 25, 5: 0, 6: 0}),
+        (UNEVEN, "abab", {1: 0, 2: 2, 3: 6, 4: 6, 5: 0, 6: 0}),
+        (ROTATION, "01011", None),
+        (UNEVEN, "ababb", None),
+    ],
+    ids=["rotation-fresh", "uneven-fresh", "rotation-inherited", "uneven-inherited"],
+)
+def test_backward_search_stops_where_a_fresh_image_scan_misses(monkeypatch, m, blind, counts):
+    # Refuse every confirmation and make the image scan miss on one image.
+    # On a fresh word's image the search stops where the naive search does,
+    # with the word's minimal occurrence; 1010 does not start with 0, and
+    # the rotation 0 -> 1 -> 2 -> 0 commutes with its morphism. An inherited
+    # word's image (01011 and ababb inherit the square of their parents,
+    # counts None) is never built, so no search stops there.
+    unpatched = naive_search_backward(m, PatternKind.SQUARE, 6)
+    word = parse_word(blind, m.source)
     image = m.apply(word)
     scan = find_pattern
 
@@ -591,13 +588,16 @@ def test_symmetric_backward_search_that_stops(monkeypatch):
     monkeypatch.setattr(certify_module, "find_pattern", blind_on_image)
     monkeypatch.setattr(sys.modules[__name__], "find_pattern", blind_on_image)
     fast = search_backward(m, PatternKind.SQUARE, 6)
+    if counts is None:
+        assert scan(word[:-1], PatternKind.SQUARE) is not None
+        assert fast.counterexample is None
+        assert fast.checked_by_length == unpatched.checked_by_length
+        return
     naive = naive_search_backward(m, PatternKind.SQUARE, 6)
-    assert fast.counterexample == Counterexample(
-        Direction.BACKWARD, word, image, Occurrence(PatternKind.SQUARE, 3, 1)
+    assert fast.counterexample == naive.counterexample == Counterexample(
+        Direction.BACKWARD, word, image, Occurrence(PatternKind.SQUARE, 0, 2)
     )
-    assert fast.counterexample == naive.counterexample
-    assert fast.checked_by_length == naive.checked_by_length
-    assert fast.checked_by_length == {1: 0, 2: 3, 3: 15, 4: 63, 5: 32, 6: 0}
+    assert fast.checked_by_length == naive.checked_by_length == counts
 
 
 @given(block_morphisms(), st.sampled_from(list(PatternKind)), st.data())
