@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 from .words import Alphabet, Word, _trusted_word, parse_word
 
@@ -55,6 +55,17 @@ class Morphism:
             out.extend(self.images[s].symbols)
         return _trusted_word(tuple(out), self.target)
 
+    def compose(self, other: Morphism) -> Morphism:
+        """self after other: w -> self.apply(other.apply(w)).
+
+        The result maps other's source to self's target, each letter to
+        self's image of its image under other. Raises ValueError unless
+        other's target is self's source.
+        """
+        if other.target != self.source:
+            raise ValueError("cannot compose: the inner target is not the outer source")
+        return Morphism(other.source, self.target, tuple(map(self.apply, other.images)))
+
     def uniform_length(self) -> int | None:
         """Common image length if all images agree, else None."""
         lengths = {len(im) for im in self.images}
@@ -73,13 +84,13 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
 
     r is the least power whose longest image has at least sqrt(target_len)
     letters, so the pass reads about target_len / |g(a)| letters instead of
-    target_len / |h(a)|. g is built one h per round, g(a) becoming
-    g(b1) g(b2) ... for h(a) = b1 b2 ... The longest image bounds r, not the
-    seed's, since another letter may grow exponentially while the seed
-    grows linearly. g's images then stay under sqrt(target_len) * max |h(a)|
-    letters, and time and memory stay linear in target_len. The only stop
-    is h(seed) == seed, which raises once target_len asks for a second
-    letter; it is checked before g is built.
+    target_len / |h(a)|. g is built one h per round as g.compose(h), g(a)
+    becoming g(b1) g(b2) ... for h(a) = b1 b2 ... The longest image bounds
+    r, not the seed's, since another letter may grow exponentially while
+    the seed grows linearly. g's images then stay under
+    sqrt(target_len) * max |h(a)| letters, and time and memory stay linear
+    in target_len. The only stop is h(seed) == seed, which raises once
+    target_len asks for a second letter; it is checked before g is built.
     """
     if m.source != m.target:
         raise ValueError("iteration requires source and target alphabets to match")
@@ -94,15 +105,15 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
         )
     if len(m.images[s]) == 1 and target_len > 1:
         raise ValueError(f"iteration on {seed!r} stops growing at length 1")
-    h = [im.symbols for im in m.images]
-    g = h
-    while max(map(len, g)) ** 2 < target_len:
-        g = [tuple(chain.from_iterable(map(g.__getitem__, image))) for image in h]
-    word = list(g[s])
+    g = m
+    while max(map(len, g.images)) ** 2 < target_len:
+        g = g.compose(m)
+    images = [im.symbols for im in g.images]
+    word = list(images[s])
     for letter in islice(word, 1, None):
         if len(word) >= target_len:
             break
-        word.extend(g[letter])
+        word.extend(images[letter])
     del word[target_len:]
     return _trusted_word(tuple(word), m.source)
 

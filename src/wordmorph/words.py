@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -68,6 +69,11 @@ class Word:
     ValueError for a symbol that is not an int in range(len(alphabet)).
     Words the library builds from already-valid data (parsed text, slices,
     concatenations, enumerated words, morphism images) are not checked again.
+
+    `text` spells the word in C: the symbols become one byte each and
+    `codecs.charmap_decode` maps byte s to letter s. Symbols past 255 (an
+    alphabet of more than 256 letters) fit no byte, and those words are
+    spelled letter by letter instead.
     """
 
     symbols: tuple[int, ...]
@@ -86,7 +92,11 @@ class Word:
     @property
     def text(self) -> str:
         letters = self.alphabet.letters
-        return "".join([letters[s] for s in self.symbols])
+        try:
+            raw = bytes(self.symbols)
+        except ValueError:  # a symbol past 255
+            return "".join([letters[s] for s in self.symbols])
+        return codecs.charmap_decode(raw, "strict", "".join(letters))[0]
 
     def __str__(self) -> str:
         return self.text
@@ -226,8 +236,14 @@ def find_pattern(word: Word, kind: PatternKind, *, min_span: int = 0) -> Occurre
     sym = word.symbols
     n = len(sym)
     # One '0'/'1' string per letter, read as a base-2 int: linear in n, where
-    # OR-ing in 1 << i position by position is quadratic.
-    text = "".join(map(chr, reversed(sym)))
+    # OR-ing in 1 << i position by position is quadratic. The reversed
+    # symbols become one character each, in C through bytes and latin-1
+    # (character s for symbol s); symbols past 255 fit no byte and go
+    # through chr one by one.
+    try:
+        text = bytes(sym[::-1]).decode("latin-1")
+    except ValueError:  # a symbol past 255
+        text = "".join(map(chr, reversed(sym)))
     letters = set(text)
     zeros = {ord(c): "0" for c in letters}
     masks = [int(text.translate({**zeros, ord(c): "1"}), 2) for c in letters]

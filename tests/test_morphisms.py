@@ -81,6 +81,42 @@ def test_apply_is_a_homomorphism(images, u_syms, v_syms):
     assert_same_as_validated(m.apply(u))
 
 
+def test_compose_applies_the_inner_morphism_first():
+    inner = Morphism.from_strings("01", ["ab", "b"], target="ab")
+    outer = Morphism.from_strings("ab", ["xy", "yzz"], target="xyz")
+    both = outer.compose(inner)
+    assert (both.source, both.target) == (inner.source, outer.target)
+    for text in ("", "0", "01", "1101"):
+        w = parse_word(text, BIN)
+        assert both.apply(w) == outer.apply(inner.apply(w))
+        assert_same_as_validated(both.apply(w))
+    for image in both.images:
+        assert_same_as_validated(image)
+    with pytest.raises(ValueError, match="cannot compose"):
+        inner.compose(outer)  # outer maps into xyz, inner reads 01
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_compose_with_itself_is_applying_twice(name):
+    m = catalog(name)
+    square = m.compose(m)
+    for text in ("", "0", "01", "0123"[:len(m.source)] * 2):
+        w = parse_word(text, m.source)
+        assert square.apply(w) == m.apply(m.apply(w))
+
+
+@given(
+    st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=2, max_size=2),
+    st.lists(st.text(alphabet="ab", min_size=1, max_size=3), min_size=2, max_size=2),
+    st.lists(st.text(alphabet="xyz", min_size=1, max_size=3), min_size=2, max_size=2),
+)
+def test_compose_is_associative(first, second, third):
+    f = Morphism.from_strings("ab", first, target="01")
+    g = Morphism.from_strings("xy", second, target="ab")
+    h = Morphism.from_strings("01", third, target="xyz")
+    assert h.compose(f).compose(g) == h.compose(f.compose(g))
+
+
 def test_uniform_length():
     assert Morphism.from_strings("01", ["00", "111"]).uniform_length() is None
     assert Morphism.from_strings("01", ["0", "1"]).uniform_length() == 1

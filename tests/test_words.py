@@ -173,6 +173,38 @@ def test_word_rejects_symbols_that_are_not_ints():
     assert Word((False, True), BIN) == parse_word("01", BIN)
 
 
+# Word.text spells a word in C, one byte per symbol; the 300-letter
+# alphabet has symbols past 255, which fit no byte and take the fallback.
+WIDE = Alphabet(tuple(chr(0x4E00 + i) for i in range(300)))
+SPELLED = {
+    "ascii": Alphabet.from_string("01"),
+    "non-ascii": Alphabet.from_string("αβγ"),
+    "non-bmp": Alphabet.from_string("😀🎉🐍"),
+    "wide": WIDE,
+}
+
+
+@pytest.mark.parametrize("alphabet", SPELLED.values(), ids=SPELLED.keys())
+def test_text_matches_letter_by_letter_spelling(alphabet):
+    k = len(alphabet)
+    for symbols in [(), (k - 1,), tuple(range(k)), tuple(reversed(range(k))) * 3]:
+        word = Word(symbols, alphabet)
+        naive = "".join(alphabet.letters[s] for s in symbols)
+        assert word.text == naive
+        assert str(word) == naive
+        assert parse_word(word.text, alphabet) == word
+
+
+@given(
+    st.lists(st.sampled_from([0, 1, 255, 256, 299]), max_size=60),
+    st.sampled_from(list(PatternKind)),
+)
+@settings(max_examples=200, deadline=None)
+def test_find_pattern_matches_naive_scan_past_255(symbols, kind):
+    word = Word(tuple(symbols), WIDE)
+    assert find_pattern(word, kind) == naive_find_pattern(word, kind)
+
+
 def test_count_factor():
     word = parse_word("abaababa", LATIN)
     assert count_factor(word, parse_word("aba", LATIN)) == 3
