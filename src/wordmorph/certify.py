@@ -10,8 +10,6 @@ uniform tiles.
 
 from __future__ import annotations
 
-import itertools
-
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -167,16 +165,18 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
 def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
     """Look for a kind-containing word with a kind-free image up to max_len, shortest first.
 
-    Words of each length are walked in lexicographic order, and the flag
-    list `prev` holds, at each word's lexicographic rank, whether the word
-    contains the kind. The parent (the word less its last letter) of the
-    word of rank r has rank r // k. A child of a kind-containing parent
-    contains the kind too, and since h(child) = h(parent) h(last letter),
-    its image contains every occurrence in h(parent), which has one: else
-    the search would have stopped at the parent's first kind-containing
-    prefix, whose image is a prefix of h(parent). So only the children of
-    kind-free parents (the empty word included) are scanned, and only the
-    fresh ones among them, those that contain the kind, have an image built.
+    Each length grows the kind-free frontier: every child stem + (s,) of a
+    kind-free stem (the empty word included) is scanned, stems and letters
+    in lexicographic order. A miss joins the next frontier. A hit is a
+    fresh word, and only fresh words have their images built. Any other
+    kind-containing word is a child of a kind-containing parent, and
+    since h(child) = h(parent) h(last letter), its image contains every
+    occurrence in h(parent), which has one: else the search would have
+    stopped at the parent's first kind-containing prefix, whose image is a
+    prefix of h(parent). Kind-containing words are counted, not visited:
+    k^L less the frontier at a finished length L, and at a stop at fresh
+    word t, the rank of t (t read in base k) plus one less the frontier
+    so far, which holds every kind-free word before t.
 
     An occurrence at start i with period p in the word, the prefix of
     length span(p) = m*p + span(0) of uuu... for u = w[i:i+p], maps under
@@ -186,14 +186,8 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
     mapped that way and confirmed on its image by a letter comparison in
     O(span). Only if a confirmation fails is the image scanned in full, and
     only if the scan finds nothing is the word a counterexample, reported
-    with its minimal occurrence. Every kind-containing word is counted, so
-    counts, witness and stop point are those of scanning every word and
-    every image.
-
-    The rank lists hold one flag per word, a reference to True or False:
-    k^(L-1) + k^L references at the last length, 81,920 (about 0.66 MB)
-    for g4 at max_len 8. A bytearray would take an eighth of that, but
-    walked leech, square, depth 12 5–15 % slower.
+    with its minimal occurrence. So counts, witness and stop point are
+    those of scanning every word and every image.
     """
     if max_len < kind.min_span:
         article = "an" if kind is PatternKind.OVERLAP else "a"
@@ -204,31 +198,33 @@ def search_backward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResul
     k = len(m.source)
     image_len = [len(im) for im in m.images]
     checked = {length: 0 for length in range(1, max_len + 1)}
-    prev = [False]
+    frontier: list[tuple[int, ...]] = [()]
     for length in range(1, max_len + 1):
-        cur: list[bool] = []
-        for rank, t in enumerate(itertools.product(range(k), repeat=length)):
-            if prev[rank // k]:
-                cur.append(True)
-                checked[length] += 1
-                continue
-            w = _trusted_word(t, m.source)
-            occ = find_pattern(w, kind)
-            cur.append(occ is not None)
-            if occ is None:
-                continue
-            checked[length] += 1
-            i, p = occ.start, occ.period
-            image_occ = Occurrence(
-                kind,
-                sum(image_len[s] for s in t[:i]),
-                sum(image_len[s] for s in t[i:i + p]),
-            )
-            image = m.apply(w)
-            if not image_occ.matches(image) and find_pattern(image, kind) is None:
-                cex = Counterexample(Direction.BACKWARD, w, image, occ)
-                return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
-        prev = cur
+        grown: list[tuple[int, ...]] = []
+        for stem in frontier:
+            for s in range(k):
+                t = stem + (s,)
+                w = _trusted_word(t, m.source)
+                occ = find_pattern(w, kind)
+                if occ is None:
+                    grown.append(t)
+                    continue
+                i, p = occ.start, occ.period
+                image_occ = Occurrence(
+                    kind,
+                    sum(image_len[a] for a in t[:i]),
+                    sum(image_len[a] for a in t[i:i + p]),
+                )
+                image = m.apply(w)
+                if not image_occ.matches(image) and find_pattern(image, kind) is None:
+                    rank = 0
+                    for a in t:
+                        rank = rank * k + a
+                    checked[length] = rank + 1 - len(grown)
+                    cex = Counterexample(Direction.BACKWARD, w, image, occ)
+                    return SearchResult(Direction.BACKWARD, kind, max_len, cex, checked)
+        checked[length] = k**length - len(grown)
+        frontier = grown
     return SearchResult(Direction.BACKWARD, kind, max_len, None, checked)
 
 

@@ -7,7 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordmorph import (
@@ -424,10 +424,34 @@ def test_forward_search_without_one_orbit_takes_the_full_path(monkeypatch, m):
     assert len(scans) == res.words_checked > len(m.source)
 
 
+# Kind-free words of lengths 1, 2, ...: square-free ternary words (OEIS
+# A006156) and overlap-free binary words (OEIS A007777).
+SQUARE_FREE_TERNARY = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798]
+OVERLAP_FREE_BINARY = [
+    2, 4, 6, 10, 14, 20, 24, 30, 36, 44, 48, 60,
+    60, 62, 72, 82, 88, 96, 112, 120, 120, 136, 148, 164,
+]
+
+
+@pytest.mark.parametrize(
+    "name, kind, free",
+    [("leech", PatternKind.SQUARE, SQUARE_FREE_TERNARY),
+     ("thue_morse", PatternKind.OVERLAP, OVERLAP_FREE_BINARY)],
+    ids=["leech-square", "thue_morse-overlap"],
+)
+def test_backward_counts_every_kind_containing_word_from_the_literature(name, kind, free):
+    # k^L words of length L, less the kind-free ones counted in the literature
+    m = catalog(name)
+    k = len(m.source)
+    res = search_backward(m, kind, len(free))
+    assert res.counterexample is None
+    assert res.checked_by_length == {length: k**length - a for length, a in enumerate(free, 1)}
+
+
 @pytest.mark.parametrize("name", ["g4", "leech"])
 def test_backward_search_scans_every_child_of_a_kind_free_word(monkeypatch, name):
-    # symmetric or not, the backward search walks every word: each child of
-    # the empty word and of each kind-free word shorter than the depth
+    # symmetric or not, the backward search scans each child of the empty
+    # word and of each kind-free word shorter than the depth, and no other
     m, kind, depth = catalog(name), PatternKind.OVERLAP, 4
     scans = counted_scans(monkeypatch)
     search_backward(m, kind, depth)
@@ -529,10 +553,10 @@ def test_backward_falls_back_to_a_full_image_scan(monkeypatch):
 def test_backward_search_builds_only_the_images_of_fresh_words(
     monkeypatch, name, kind, depth, fresh, containing
 ):
-    # Every kind-containing word is walked and counted, symmetric morphism
-    # or not. Only a fresh word, one whose parent w[:-1] is kind-free, has
-    # its image built: any other inherits an occurrence in its image from
-    # its parent's image.
+    # Every kind-containing word is counted, symmetric morphism or not.
+    # Only a fresh word, one whose parent w[:-1] is kind-free, has its
+    # image built: any other inherits an occurrence in its image from its
+    # parent's image.
     m = catalog(name)
     naive = naive_search_backward(m, kind, depth)
     words = [
@@ -598,6 +622,43 @@ def test_backward_search_stops_where_a_fresh_image_scan_misses(monkeypatch, m, b
         Direction.BACKWARD, word, image, Occurrence(PatternKind.SQUARE, 0, 2)
     )
     assert fast.checked_by_length == naive.checked_by_length == counts
+
+
+@given(morphisms_onto_separate_alphabets(), st.sampled_from(list(PatternKind)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_backward_search_stops_where_a_drawn_fresh_image_scan_misses(m, kind, data):
+    # The rank arithmetic of the stop point, on any fresh word at any depth.
+    # Refuse every confirmation and make the image scan miss on the image of
+    # one fresh word. The word is drawn among those whose image is no
+    # inherited word's image: the naive search scans inherited words'
+    # images too, and a miss there (impossible for the real scan) would
+    # stop it where the fast search, which never builds them, goes on.
+    depth = data.draw(st.integers(kind.min_span, 6))
+    fresh, inherited = [], set()
+    for length in range(1, depth + 1):
+        for t in itertools.product(range(len(m.source)), repeat=length):
+            w = Word(t, m.source)
+            if find_pattern(w, kind) is not None:
+                if find_pattern(w[:-1], kind) is None:
+                    fresh.append(w)
+                else:
+                    inherited.add(m.apply(w))
+    blindable = [w for w in fresh if m.apply(w) not in inherited]
+    assume(blindable)
+    image = m.apply(data.draw(st.sampled_from(blindable)))
+    scan = find_pattern
+
+    def blind_on_image(w, kind):
+        return None if w == image else scan(w, kind)
+
+    with mock.patch.object(Occurrence, "matches", lambda self, word: False), \
+            mock.patch.object(certify_module, "find_pattern", blind_on_image), \
+            mock.patch.object(sys.modules[__name__], "find_pattern", blind_on_image):
+        fast = search_backward(m, kind, depth)
+        naive = naive_search_backward(m, kind, depth)
+    assert fast.counterexample is not None
+    assert fast.counterexample == naive.counterexample
+    assert fast.checked_by_length == naive.checked_by_length
 
 
 @given(block_morphisms(), st.sampled_from(list(PatternKind)), st.data())
