@@ -70,8 +70,9 @@ class Word:
     Words the library builds from already-valid data (parsed text, slices,
     concatenations, enumerated words, morphism images) are not checked again.
 
-    `text` spells the word in C: the symbols become one byte each and
-    `codecs.charmap_decode` maps byte s to letter s. Symbols past 255 (an
+    `text` spells the word in C: the symbols become one byte each through
+    `bytearray` (faster than `bytes` on a tuple of more than a few symbols)
+    and `codecs.charmap_decode` maps byte s to letter s. Symbols past 255 (an
     alphabet of more than 256 letters) fit no byte, and those words are
     spelled letter by letter instead.
     """
@@ -93,7 +94,7 @@ class Word:
     def text(self) -> str:
         letters = self.alphabet.letters
         try:
-            raw = bytes(self.symbols)
+            raw = bytearray(self.symbols)
         except ValueError:  # a symbol past 255
             return "".join([letters[s] for s in self.symbols])
         return codecs.charmap_decode(raw, "strict", "".join(letters))[0]
@@ -157,6 +158,11 @@ class PatternKind(Enum):
         return self.span(1)
 
 
+# Each kind's (span(1), span(p + 1) - span(p)): the scans step spans by a
+# fixed growth, and one lookup here is cheaper than calling kind.span.
+_SPAN_STEPS = {kind: (kind.span(1), kind.span(2) - kind.span(1)) for kind in PatternKind}
+
+
 @dataclass(frozen=True)
 class Occurrence:
     """A located pattern instance: kind, start index and period.
@@ -213,6 +219,10 @@ def count_factor(word: Word, factor: Word) -> int:
     return sum(1 for i in range(len(sym) - len(f) + 1) if sym[i:i + len(f)] == f)
 
 
+# One bytes.translate table per byte value c: c -> b"1", every other byte -> b"0".
+_ONE = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+
+
 def find_pattern(word: Word, kind: PatternKind, *, min_span: int = 0) -> Occurrence | None:
     """First occurrence in (span, start) order, or None if the word avoids the kind.
 
@@ -235,22 +245,24 @@ def find_pattern(word: Word, kind: PatternKind, *, min_span: int = 0) -> Occurre
     """
     sym = word.symbols
     n = len(sym)
-    # One '0'/'1' string per letter, read as a base-2 int: linear in n, where
-    # OR-ing in 1 << i position by position is quadratic. The reversed
-    # symbols become one character each, in C through bytes and latin-1
-    # (character s for symbol s); symbols past 255 fit no byte and go
-    # through chr one by one.
+    # One '0'/'1' string per letter over the reversed symbols, read as a
+    # base-2 int: linear in n, where OR-ing in 1 << i position by position is
+    # quadratic. The symbols become one byte each, and letter c's string is
+    # one bytearray.translate through _ONE[c], its 256-byte table made once
+    # at import. Symbols past 255 fit no byte and take a str path instead:
+    # one character per symbol and a str.translate with a dict per letter.
     try:
-        text = bytes(sym[::-1]).decode("latin-1")
+        raw = bytearray(sym)
     except ValueError:  # a symbol past 255
         text = "".join(map(chr, reversed(sym)))
-    letters = set(text)
-    zeros = {ord(c): "0" for c in letters}
-    masks = [int(text.translate({**zeros, ord(c): "1"}), 2) for c in letters]
-    # Spans grow by a fixed amount per period; adding it is cheaper than
-    # calling kind.span once per period.
-    p, span = 1, kind.min_span
-    growth = kind.span(2) - span
+        letters = set(text)
+        zeros = {ord(c): "0" for c in letters}
+        masks = [int(text.translate({**zeros, ord(c): "1"}), 2) for c in letters]
+    else:
+        raw.reverse()
+        masks = [int(raw.translate(_ONE[c]), 2) for c in set(raw)]
+    span, growth = _SPAN_STEPS[kind]
+    p = 1
     if span < min_span:
         p += -(-(min_span - span) // growth)  # the first span >= min_span
         span = kind.span(p)
@@ -285,8 +297,8 @@ def _ends_with_pattern(sym: tuple[int, ...], kind: PatternKind) -> bool:
     # short candidate made enumerating g4/f4 overlap-free words to length 6 slower
     # (33 ms -> 61 ms). Spans grow by a fixed step, as in find_pattern.
     n = len(sym)
-    p, span = 1, kind.min_span
-    growth = kind.span(2) - span
+    span, growth = _SPAN_STEPS[kind]
+    p = 1
     while span <= n:
         if sym[n - span:n - p] == sym[n - span + p:]:
             return True

@@ -195,14 +195,31 @@ def test_text_matches_letter_by_letter_spelling(alphabet):
         assert parse_word(word.text, alphabet) == word
 
 
+def test_text_matches_letter_by_letter_spelling_on_long_words():
+    # a 10^5-letter leech prefix over 012 and over αβγ, and a 5,000-letter
+    # word that uses all 300 letters of WIDE
+    leech = iterate_prefix(catalog("leech"), "0", 10**5)
+    for word in [
+        leech,
+        Word(leech.symbols, Alphabet.from_string("αβγ")),
+        Word(tuple(i * 7919 % 300 for i in range(5000)), WIDE),
+    ]:
+        assert word.text == "".join([word.alphabet.letters[s] for s in word.symbols])
+
+
 @given(
     st.lists(st.sampled_from([0, 1, 255, 256, 299]), max_size=60),
     st.sampled_from(list(PatternKind)),
+    st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_find_pattern_matches_naive_scan_past_255(symbols, kind):
+def test_find_pattern_matches_naive_scan_past_255(symbols, kind, data):
     word = Word(tuple(symbols), WIDE)
     assert find_pattern(word, kind) == naive_find_pattern(word, kind)
+    min_span = data.draw(st.integers(0, len(word) + 2))
+    assert find_pattern(word, kind, min_span=min_span) == naive_find_pattern(
+        word, kind, min_span
+    )
 
 
 def test_count_factor():
@@ -348,10 +365,35 @@ def words_over_small_alphabets(draw):
     return Word(tuple(draw(st.lists(st.sampled_from(used), max_size=200))), alphabet)
 
 
-@given(words_over_small_alphabets(), st.sampled_from(list(PatternKind)))
+@given(words_over_small_alphabets(), st.sampled_from(list(PatternKind)), st.data())
 @settings(max_examples=200, deadline=None)
-def test_find_pattern_matches_naive_scan_on_random_words(word, kind):
+def test_find_pattern_matches_naive_scan_on_random_words(word, kind, data):
     assert find_pattern(word, kind) == naive_find_pattern(word, kind)
+    min_span = data.draw(st.integers(0, len(word) + 2))
+    assert find_pattern(word, kind, min_span=min_span) == naive_find_pattern(
+        word, kind, min_span
+    )
+
+
+@given(words_over_small_alphabets(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_find_pattern_byte_and_wide_paths_agree(word, data):
+    # Symbols 0-4 of WIDE fit a byte each and take the translate tables; a
+    # word with any symbol past 255 takes the str path. Relabelling letters
+    # one-to-one moves no occurrence.
+    k = len(word.alphabet)
+    targets = st.sampled_from([*range(5), *range(256, 261)])
+    mixed = data.draw(st.lists(targets, min_size=k, max_size=k, unique=True))
+    byte_word = Word(word.symbols, WIDE)
+    wide_words = [
+        Word(tuple(256 + s for s in word.symbols), WIDE),
+        Word(tuple(mixed[s] for s in word.symbols), WIDE),
+    ]
+    for kind in PatternKind:
+        for min_span in range(len(word) + 3):
+            expected = find_pattern(byte_word, kind, min_span=min_span)
+            for wide in wide_words:
+                assert find_pattern(wide, kind, min_span=min_span) == expected, (kind, min_span)
 
 
 # Planted starts at which the planted occurrence is the minimal witness. The
