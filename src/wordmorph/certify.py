@@ -409,7 +409,7 @@ def _explain_aligned(
     # pattern itself.
     base = stretch.symbols[:qt]
     reps = -(-len(stretch) // qt)
-    ideal = Word((base * reps)[:len(stretch)], word.alphabet)
+    ideal = _trusted_word((base * reps)[:len(stretch)], word.alphabet)
     lines.append(
         f"  tile contents repeat every {qt} tile(s); a preimage doing the same"
         f" over tiles {s0}..{s0 + len(stretch) - 1} would read {ideal.text}"

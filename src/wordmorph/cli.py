@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check-morphism",
         help="run the sufficient conditions for a uniform morphism",
         description=(
-            "Runs the image-triple, marked-ends and border conditions."
+            "Runs the image-triple and border conditions, and for --def"
+            " square the marked-ends condition as well."
             " Borders are nonempty: every word V with 1 <= |V| <= floor(n/2)"
             " that is simultaneously a suffix of one image and a prefix of"
             " another must leave remainders that match no image suffix or"

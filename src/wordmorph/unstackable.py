@@ -16,7 +16,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .morphisms import Morphism
-from .words import Occurrence, PatternKind, Word, enumerate_pattern_free, find_pattern
+from .words import (
+    Occurrence, PatternKind, Word, _trusted_word, enumerate_pattern_free, find_pattern,
+)
 
 
 class NonUniformError(ValueError):
@@ -102,18 +104,14 @@ class Verdict:
 
 
 @functools.lru_cache(maxsize=64)
-def _pattern_free_triples(alphabet, kind: PatternKind) -> tuple[Word, ...]:
-    return tuple(w for w in enumerate_pattern_free(alphabet, kind, 3) if len(w) == 3)
-
-
-def pattern_free_triples(alphabet, kind: PatternKind) -> list[Word]:
+def pattern_free_triples(alphabet, kind: PatternKind) -> tuple[Word, ...]:
     """All kind-free words of length exactly 3, in lexicographic order.
 
     They depend only on the alphabet and the kind, so they are enumerated
     once per (alphabet, kind) and memoised, for the 64 most recent pairs;
-    every call returns a fresh list.
+    every call returns the memoised tuple.
     """
-    return list(_pattern_free_triples(alphabet, kind))
+    return tuple(w for w in enumerate_pattern_free(alphabet, kind, 3) if len(w) == 3)
 
 
 def _image_witnesses(m: Morphism, words, kind: PatternKind) -> tuple[Witness, ...]:
@@ -234,14 +232,12 @@ def check_lemma_consequences(
     """
     if len(m.source) <= 1:
         raise ValueError("lemma consequences need at least two source letters")
-    k = len(m.source)
-    singles = _image_witnesses(m, [Word((a,), m.source) for a in range(k)], PatternKind.OVERLAP)
-    pairs = _image_witnesses(
-        m, [Word(t, m.source) for t in itertools.product(range(k), repeat=2)], PatternKind.OVERLAP
-    )
+    k, overlap = len(m.source), PatternKind.OVERLAP
+    singles = [_trusted_word((a,), m.source) for a in range(k)]
+    pairs = [_trusted_word(t, m.source) for t in itertools.product(range(k), repeat=2)]
     return (
-        ConditionReport("single-images", singles, words_checked=k),
-        ConditionReport("letter-pairs", pairs, words_checked=k * k),
+        ConditionReport("single-images", _image_witnesses(m, singles, overlap), words_checked=k),
+        ConditionReport("letter-pairs", _image_witnesses(m, pairs, overlap), words_checked=k * k),
         check_marked_ends(m),
     )
 

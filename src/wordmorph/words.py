@@ -124,7 +124,8 @@ def _trusted_word(symbols: tuple[int, ...], alphabet: Alphabet) -> Word:
 
     Skips the per-symbol check of Word.__post_init__, which takes longer than
     building the object. Only for symbols taken from a valid Word, Alphabet
-    or Morphism; anything else goes through Word(...).
+    or Morphism, or from range(len(alphabet)); anything else goes through
+    Word(...).
     """
     word = object.__new__(Word)
     object.__setattr__(word, "symbols", symbols)

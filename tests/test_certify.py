@@ -21,9 +21,13 @@ from wordmorph import (
     SearchResult,
     Word,
     catalog,
+    catalog_names,
     certify_backward,
     certify_forward,
     check_border_condition,
+    check_lemma_consequences,
+    check_overlap_def,
+    check_square_def,
     classify_alignment,
     enumerate_pattern_free,
     explain,
@@ -226,6 +230,19 @@ def test_searches_build_no_checked_words(word_checks):
     word_checks.clear()
     assert search_backward(thue_morse, PatternKind.OVERLAP, 10).counterexample is None
     assert search_forward(leech, PatternKind.SQUARE, 8).counterexample is None
+    assert word_checks == []
+
+
+def test_conditions_and_explain_build_no_checked_words(word_checks):
+    morphisms = [catalog(name) for name in catalog_names()]
+    m = Morphism.from_strings("012", ["ab", "cd", "cd"], target="abcd")
+    cex = certify_forward(m, PatternKind.SQUARE, 3)
+    word_checks.clear()
+    for check in (check_overlap_def, check_square_def, check_lemma_consequences):
+        for catalog_morphism in morphisms:
+            check(catalog_morphism)
+    assert word_checks == []
+    assert "share one image" in explain(m, cex)
     assert word_checks == []
 
 
@@ -498,7 +515,7 @@ def test_forward_scans_only_occurrences_across_the_first_and_last_tiles(monkeypa
 
 @given(morphisms_onto_separate_alphabets(), st.sampled_from(list(PatternKind)), st.data())
 @settings(max_examples=120, deadline=None)
-def test_backward_matches_naive_search_on_random_morphisms(m, kind, data):
+def test_searches_match_naive_on_random_morphisms(m, kind, data):
     # non-uniform images and separate targets, in both directions
     depth = data.draw(st.integers(kind.min_span, 6))
     assert_same_forward_search(m, kind, depth)
@@ -663,10 +680,12 @@ def test_backward_search_stops_where_a_drawn_fresh_image_scan_misses(m, kind, da
 
 @given(block_morphisms(), st.sampled_from(list(PatternKind)), st.data())
 @settings(max_examples=100, deadline=None)
-def test_backward_matches_naive_search_on_block_morphisms(m, kind, data):
-    # several orbits, or one whose commuting permutations are not shifts
+def test_searches_match_naive_on_block_morphisms(m, kind, data):
+    # several orbits, or one whose commuting permutations are not shifts:
+    # the forward search's letter symmetry path, and the backward search
     k = len(m.source)
     depth = data.draw(st.integers(kind.min_span, {2: 6, 3: 5, 4: 4}.get(k, 3)))
+    assert_same_forward_search(m, kind, depth)
     assert_same_backward_search(m, kind, depth)
 
 
