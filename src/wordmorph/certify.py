@@ -279,16 +279,6 @@ class AlignmentDiagnosis:
     case_label: AlignmentCase
 
 
-def _four_tile_case(r0: int, r1: int, r2: int) -> AlignmentCase | None:
-    # The four orders realisable when the occurrence touches exactly four
-    # tiles; r1 strictly between r0 and r2 fits none of them.
-    if r1 > r0 and r1 > r2:
-        return AlignmentCase.R0_LE_R2_LT_R1 if r0 <= r2 else AlignmentCase.R2_LT_R0_LT_R1
-    if r1 < r0 and r1 < r2:
-        return AlignmentCase.R1_LT_R0_LE_R2 if r0 <= r2 else AlignmentCase.R1_LT_R2_LT_R0
-    return None
-
-
 def classify_alignment(occ: Occurrence, n: int) -> AlignmentDiagnosis:
     """Classify an overlap occurrence inside an n-uniform image by tile alignment.
 
@@ -302,17 +292,17 @@ def classify_alignment(occ: Occurrence, n: int) -> AlignmentDiagnosis:
     if occ.kind is not PatternKind.OVERLAP:
         raise ValueError("alignment classification applies to overlap occurrences")
     r0, r1, r2 = residues(occ.start, occ.period, n)
-    first = occ.start // n
-    last = (occ.start + occ.span - 1) // n
-    tile_span = last - first + 1
+    tile_span = (occ.start + occ.span - 1) // n - occ.start // n + 1
+    # The four orders realisable when the occurrence touches exactly four
+    # tiles; r1 strictly between r0 and r2 fits none of them.
     if occ.period % n == 0:
         case = AlignmentCase.ALIGNED
+    elif tile_span <= 4 and r1 > max(r0, r2):
+        case = AlignmentCase.R0_LE_R2_LT_R1 if r0 <= r2 else AlignmentCase.R2_LT_R0_LT_R1
+    elif tile_span <= 4 and r1 < min(r0, r2):
+        case = AlignmentCase.R1_LT_R0_LE_R2 if r0 <= r2 else AlignmentCase.R1_LT_R2_LT_R0
     else:
-        four = _four_tile_case(r0, r1, r2)
-        if tile_span > 4 or four is None:
-            case = AlignmentCase.LONG_R0_LT_R1 if r0 < r1 else AlignmentCase.LONG_R1_LT_R0
-        else:
-            case = four
+        case = AlignmentCase.LONG_R0_LT_R1 if r0 < r1 else AlignmentCase.LONG_R1_LT_R0
     return AlignmentDiagnosis(r0, r1, r2, tile_span, case)
 
 
@@ -353,20 +343,17 @@ def explain(m: Morphism, cex: Counterexample) -> str:
     j0, p = occ.start, occ.period
     first_tile = j0 // n
     last_tile = (j0 + occ.span - 1) // n
-    tile_span = last_tile - first_tile + 1
     lines.append(
         f"  tiles are the {n}-letter images; occurrence touches tiles"
-        f" {first_tile}..{last_tile} ({tile_span} of them)"
+        f" {first_tile}..{last_tile} ({last_tile - first_tile + 1} of them)"
     )
-
+    r0, r1, r2 = residues(j0, p, n)
     if kind is PatternKind.OVERLAP:
-        diag = classify_alignment(occ, n)
         lines.append(
-            f"  mark residues mod {n}: r0={diag.r0} r1={diag.r1} r2={diag.r2};"
-            f" case {diag.case_label.value}"
+            f"  mark residues mod {n}: r0={r0} r1={r1} r2={r2};"
+            f" case {classify_alignment(occ, n).case_label.value}"
         )
     else:
-        r0, r1, _ = residues(j0, p, n)
         lines.append(
             f"  start-mark residues mod {n}: r0={r0} r1={r1};"
             f" {'aligned' if p % n == 0 else 'misaligned'}"
@@ -374,8 +361,16 @@ def explain(m: Morphism, cex: Counterexample) -> str:
 
     if p % n == 0:
         lines.extend(_explain_aligned(m, word, image, occ, n))
-    elif tile_span <= 3:
-        lines.extend(_explain_short(word, occ, first_tile, last_tile))
+    elif last_tile - first_tile < 3:
+        factor = word[first_tile:last_tile + 1]
+        article = "an" if kind is PatternKind.OVERLAP else "a"
+        lines += [
+            f"  the occurrence fits inside the image of the word factor"
+            f" {factor.text!r} (positions {first_tile}..{last_tile}, length {len(factor)})",
+            f"  {article} {kind.value} inside the image of at most three letters is"
+            f" exactly what the {kind.value}-triples condition forbids;"
+            " its report carries the offending triple",
+        ]
     else:
         lines.extend(_explain_border(m, word, occ, n))
     return "\n".join(lines)
@@ -407,9 +402,9 @@ def _explain_aligned(
     # The image repeats with period p == qt tiles across the occurrence, so
     # tile contents repeat; if the word did the same it would carry the
     # pattern itself.
-    base = stretch.symbols[:qt]
-    reps = -(-len(stretch) // qt)
-    ideal = _trusted_word((base * reps)[:len(stretch)], word.alphabet)
+    ideal = _trusted_word(
+        tuple([stretch[i % qt] for i in range(len(stretch))]), word.alphabet
+    )
     lines.append(
         f"  tile contents repeat every {qt} tile(s); a preimage doing the same"
         f" over tiles {s0}..{s0 + len(stretch) - 1} would read {ideal.text}"
@@ -432,17 +427,6 @@ def _explain_aligned(
     return lines
 
 
-def _explain_short(word: Word, occ: Occurrence, first_tile: int, last_tile: int) -> list[str]:
-    factor = word[first_tile:last_tile + 1]
-    return [
-        f"  the occurrence fits inside the image of the word factor"
-        f" {factor.text!r} (positions {first_tile}..{last_tile}, length {len(factor)})",
-        f"  a {occ.kind.value} inside the image of at most three letters is"
-        f" exactly what the {occ.kind.value}-triples condition forbids;"
-        " its report carries the offending triple",
-    ]
-
-
 def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[str]:
     # Inside the repetition window image[i] == image[i + p], p = t*n + q with
     # t >= 1, 0 < q < n. Sliding the piece of a tile that ends (or begins) at
@@ -453,7 +437,7 @@ def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[st
     # is violated: past the first boundary the stem S lies in the window and
     # recurs p letters away as the end of a whole tile; at the first boundary
     # the tail U recurs as a whole-tile prefix instead (else the occurrence
-    # touches at most three tiles and _explain_short handles it).
+    # touches at most three tiles and explain points at the triples).
     j0, p = occ.start, occ.period
     q = p % n
     t_tiles = p // n

@@ -181,6 +181,8 @@ class Occurrence:
         return self.kind.span(self.period)
 
     def factor(self, word: Word) -> Word:
+        if self.period < 1:
+            raise ValueError("period must be >= 1")
         if self.start < 0 or self.start + self.span > len(word):
             raise ValueError("occurrence does not fit inside the word")
         return _trusted_word(word.symbols[self.start:self.start + self.span], word.alphabet)

@@ -868,6 +868,36 @@ def test_explain_short_span_points_at_triples():
     text = explain(m, cex)
     assert "fits inside the image of the word factor '01'" in text
     assert "overlap-triples" in text
+    assert text.splitlines() == [
+        "forward overlap counterexample",
+        "  word:  01 (overlap-free, length 2)",
+        "  image: 010101 (length 6)",
+        "  overlap at start 0, period 2: factor 01010",
+        "  tiles are the 3-letter images; occurrence touches tiles 0..1 (2 of them)",
+        "  mark residues mod 3: r0=0 r1=2 r2=1; case r0<=r2<r1",
+        "  the occurrence fits inside the image of the word factor '01'"
+        " (positions 0..1, length 2)",
+        "  an overlap inside the image of at most three letters is exactly what the"
+        " overlap-triples condition forbids; its report carries the offending triple",
+    ]
+
+
+def test_explain_short_square_golden_text():
+    m = catalog("thue_morse")
+    cex = certify_forward(m, PatternKind.SQUARE, 3)
+    assert cex is not None
+    assert explain(m, cex).splitlines() == [
+        "forward square counterexample",
+        "  word:  01 (square-free, length 2)",
+        "  image: 0110 (length 4)",
+        "  square at start 1, period 1: factor 11",
+        "  tiles are the 2-letter images; occurrence touches tiles 0..1 (2 of them)",
+        "  start-mark residues mod 2: r0=1 r1=0; misaligned",
+        "  the occurrence fits inside the image of the word factor '01'"
+        " (positions 0..1, length 2)",
+        "  a square inside the image of at most three letters is exactly what the"
+        " square-triples condition forbids; its report carries the offending triple",
+    ]
 
 
 def test_explain_misaligned_border_counterexample():
@@ -915,6 +945,30 @@ def test_explain_border_golden_text():
         "  shared border V=a (tile suffix of length 1 ending at boundary 6):"
         " image('0') = S·V with S=bb, image('2') = V·U with U=ab",
         "    border condition violated: S is a suffix of image('1'); U is a prefix of image('1')",
+    ]
+
+
+def test_explain_misaligned_square_golden_text():
+    # image of 0120 is bbaabbaabbba; the square at start 2, period 4 touches
+    # four tiles and is misaligned (4 % 3 == 1)
+    m = Morphism.from_strings("012", ["bba", "abb", "aab"], target="ab")
+    word = parse_word("0120", m.source)
+    cex = Counterexample(
+        Direction.FORWARD, word, m.apply(word), Occurrence(PatternKind.SQUARE, 2, 4)
+    )
+    assert explain(m, cex).splitlines() == [
+        "forward square counterexample",
+        "  word:  0120 (square-free, length 4)",
+        "  image: bbaabbaabbba (length 12)",
+        "  square at start 2, period 4: factor aabbaabb",
+        "  tiles are the 3-letter images; occurrence touches tiles 0..3 (4 of them)",
+        "  start-mark residues mod 3: r0=2 r1=0; misaligned",
+        "  shared border V=a (tile suffix of length 1 ending at boundary 3):"
+        " image('0') = S·V with S=bb, image('2') = V·U with U=ab",
+        "    border condition violated: S is a suffix of image('1'); U is a prefix of image('1')",
+        "  shared border V=ab between image('2') and image('1') (tile prefix of length 2"
+        " starting at boundary 3) is longer than floor(n/2)=1;"
+        " outside the border condition's reach",
     ]
 
 
@@ -1008,3 +1062,10 @@ def test_explain_non_uniform_positions_only():
     text = explain(m, cex)
     assert "not uniform" in text
     assert "square at start 0" in text
+    assert text.splitlines() == [
+        "forward square counterexample",
+        "  word:  1 (square-free, length 1)",
+        "  image: 11 (length 2)",
+        "  square at start 0, period 1: factor 11",
+        "  morphism is not uniform: positions only, no tile arithmetic",
+    ]

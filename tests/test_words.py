@@ -272,6 +272,15 @@ def test_occurrence_rechecks_claims():
         Occurrence(PatternKind.SQUARE, 3, 1).factor(word)
 
 
+def test_occurrence_factor_rejects_periods_below_one():
+    # matches rejects these too; span(-1) == -2 would otherwise slice "11"
+    word = parse_word("0110", BIN)
+    for period in (0, -1):
+        assert not Occurrence(PatternKind.SQUARE, 1, period).matches(word)
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            Occurrence(PatternKind.SQUARE, 1, period).factor(word)
+
+
 def test_pattern_kind_spans():
     assert PatternKind.SQUARE.span(3) == 6
     assert PatternKind.OVERLAP.span(3) == 7
