@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .certify import Direction, search_backward, search_forward
 from .morphfile import format_morphism_file, parse_morphism_file
-from .morphisms import Morphism, catalog, catalog_names, iterate_prefix
+from .morphisms import Morphism, catalog, catalog_names, fixed_point_symbols
 from .unstackable import (
     BorderWitness,
     EndWitness,
@@ -182,7 +182,10 @@ def _cmd_apply(args: argparse.Namespace) -> _Report:
 
 def _cmd_iterate(args: argparse.Namespace) -> _Report:
     m = load_morphism(args.morphism)
-    return _Report("pass", [iterate_prefix(m, args.seed, args.length).text])
+    # one byte per letter when every symbol fits one
+    buffer = bytearray if len(m.source) <= 256 else list
+    symbols = fixed_point_symbols(m, args.seed, args.length, buffer)
+    return _Report("pass", [m.source.spell(symbols)])
 
 
 def _cmd_catalog(args: argparse.Namespace) -> _Report:

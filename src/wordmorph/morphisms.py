@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -75,6 +75,24 @@ class Morphism:
 def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
     """First target_len letters of the fixed point of m on the given seed letter.
 
+    Requires source == target and an image of seed beginning with seed;
+    raises ValueError otherwise, as fixed_point_symbols does.
+    """
+    return _trusted_word(tuple(fixed_point_symbols(m, seed, target_len, list)), m.source)
+
+
+def fixed_point_symbols(
+    m: Morphism,
+    seed: str,
+    target_len: int,
+    buffer: Callable[[Iterable[int]], MutableSequence[int]],
+) -> MutableSequence[int]:
+    """The symbols of iterate_prefix(m, seed, target_len), in a buffer(...).
+
+    buffer is list, or bytearray when every symbol fits a byte (at most 256
+    letters): Alphabet.spell decodes a bytearray as it is, and no tuple of
+    ints is built.
+
     Requires source == target and an image of seed beginning with seed. With
     h = m, the fixed point x then satisfies x = h(x), hence x = g(x) for every
     power g = h^r, and g(seed) begins with seed too. So one left-to-right pass
@@ -108,14 +126,14 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
     g = m
     while max(map(len, g.images)) ** 2 < target_len:
         g = g.compose(m)
-    images = [im.symbols for im in g.images]
-    word = list(images[s])
+    images = [buffer(im.symbols) for im in g.images]
+    word = buffer(images[s])
     for letter in islice(word, 1, None):
         if len(word) >= target_len:
             break
         word.extend(images[letter])
     del word[target_len:]
-    return _trusted_word(tuple(word), m.source)
+    return word
 
 
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {

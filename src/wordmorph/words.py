@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import codecs
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -35,8 +35,13 @@ class Alphabet:
                 raise ValueError(f"letters must be single characters, got {ch!r}")
             if not ch.isprintable() or ch.isspace():
                 raise ValueError(f"letters must be printable and non-blank, got {ch!r}")
+        letters = "".join(self.letters)
         if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"letters must be distinct, got {''.join(self.letters)!r}")
+            raise ValueError(f"letters must be distinct, got {letters!r}")
+        # spell's map: CPython's charmap_decode takes its fast path only for a
+        # map of at least 256 characters, so the letters are padded with
+        # letters[0]; in-range symbols read only the first len(self) entries
+        object.__setattr__(self, "_charmap", letters + letters[0] * (256 - len(letters)))
 
     @classmethod
     def from_string(cls, text: str) -> Alphabet:
@@ -60,6 +65,22 @@ class Alphabet:
     def word(self, text: str) -> Word:
         return parse_word(text, self)
 
+    def spell(self, symbols: Iterable[int]) -> str:
+        """The letters of in-range symbols, a tuple, list or bytearray of them.
+
+        Spelled in C: `codecs.charmap_decode` maps byte s to letter s. A
+        bytearray is decoded as it is; other symbols first become one byte
+        each through `bytearray` (faster than `bytes` on a tuple of more than
+        a few symbols). Symbols past 255 (an alphabet of more than 256
+        letters) fit no byte, and those are spelled letter by letter instead.
+        """
+        if not isinstance(symbols, bytearray):
+            try:
+                symbols = bytearray(symbols)
+            except ValueError:  # a symbol past 255
+                return "".join([self.letters[s] for s in symbols])
+        return codecs.charmap_decode(symbols, "strict", self._charmap)[0]
+
 
 @dataclass(frozen=True)
 class Word:
@@ -70,11 +91,10 @@ class Word:
     Words the library builds from already-valid data (parsed text, slices,
     concatenations, enumerated words, morphism images) are not checked again.
 
-    `text` spells the word in C: the symbols become one byte each through
-    `bytearray` (faster than `bytes` on a tuple of more than a few symbols)
-    and `codecs.charmap_decode` maps byte s to letter s. Symbols past 255 (an
-    alphabet of more than 256 letters) fit no byte, and those words are
-    spelled letter by letter instead.
+    `text` spells the word with `Alphabet.spell`: one byte per symbol, decoded
+    in C through the alphabet's letters padded to a 256-entry map, which is
+    CPython's fast path; a word with symbols past 255 is spelled letter by
+    letter.
     """
 
     symbols: tuple[int, ...]
@@ -92,12 +112,7 @@ class Word:
 
     @property
     def text(self) -> str:
-        letters = self.alphabet.letters
-        try:
-            raw = bytearray(self.symbols)
-        except ValueError:  # a symbol past 255
-            return "".join([letters[s] for s in self.symbols])
-        return codecs.charmap_decode(raw, "strict", "".join(letters))[0]
+        return self.alphabet.spell(self.symbols)
 
     def __str__(self) -> str:
         return self.text

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordmorph import cli
 from wordmorph import (
     Alphabet,
     Morphism,
@@ -11,6 +15,7 @@ from wordmorph import (
     Word,
     catalog,
     catalog_names,
+    format_morphism_file,
     iterate_prefix,
     parse_word,
 )
@@ -218,6 +223,54 @@ def test_iterate_prefix_agrees_with_naive_iteration(morphism, target_len):
         prefix = iterate_prefix(m, seed, target_len)
         assert prefix.text == expected
         assert_same_as_validated(prefix)
+
+
+def iterate_command(path, seed: str, length: int) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of an in-process `wordmorph iterate`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["iterate", str(path), "--seed", seed, "--length", str(length)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(prolongable_morphisms(), st.integers(1, 5000))
+@settings(max_examples=200, deadline=None)
+def test_iterate_command_agrees_with_naive_iteration(tmp_path_factory, morphism, target_len):
+    # the drawn seed against naive iteration; every other letter, prolongable
+    # or not, against the library, errors included
+    images, seed = morphism
+    m = Morphism.from_strings("".join(images), list(images.values()))
+    path = tmp_path_factory.getbasetemp() / "iterate_command.txt"
+    path.write_text(format_morphism_file(m), encoding="utf-8")
+    try:
+        expected = (0, naive_iterate(images, seed, target_len) + "\n", "")
+    except ValueError as exc:
+        expected = (2, "", f"error: {exc}\n")
+    assert iterate_command(path, seed, target_len) == expected
+    for letter in images:
+        try:
+            expected = (0, iterate_prefix(m, letter, target_len).text + "\n", "")
+        except ValueError as exc:
+            expected = (2, "", f"error: {exc}\n")
+        assert iterate_command(path, letter, target_len) == expected
+
+
+def test_iterate_past_255_agrees_with_naive_iteration(tmp_path):
+    # h(a) = a, a + 1, a + 97 (mod 300): letter n of the fixed point on the
+    # first letter is the sum of 0, 1 or 97 over n's base-3 digits, so the
+    # first 26 letters have symbols below 256 and letter 26 has 291, a
+    # symbol that fits no byte
+    letters = "".join(chr(0x4E00 + i) for i in range(300))
+    images = {a: a + letters[(i + 1) % 300] + letters[(i + 97) % 300] for i, a in enumerate(letters)}
+    m = Morphism.from_strings(letters, list(images.values()))
+    path = tmp_path / "wide.txt"
+    path.write_text(format_morphism_file(m), encoding="utf-8")
+    for length in (26, 27, 10**4):
+        expected = naive_iterate(images, letters[0], length)
+        prefix = iterate_prefix(m, letters[0], length)
+        assert (max(prefix.symbols) > 255) == (length > 26)
+        assert prefix.text == expected
+        assert iterate_command(path, letters[0], length) == (0, expected + "\n", "")
 
 
 def test_iterate_prefix_lopsided_growth():

@@ -181,6 +181,9 @@ SPELLED = {
     "non-ascii": Alphabet.from_string("αβγ"),
     "non-bmp": Alphabet.from_string("😀🎉🐍"),
     "wide": WIDE,
+    # exactly the 256 entries of CPython's fast charmap, and one past it
+    "256": Alphabet(WIDE.letters[:256]),
+    "257": Alphabet(WIDE.letters[:257]),
 }
 
 
