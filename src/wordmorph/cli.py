@@ -180,7 +180,42 @@ def _cmd_apply(args: argparse.Namespace) -> _Report:
     return _Report("pass", [m.apply(word).text])
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 3 << 19  # 1.5 MiB
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 1.5 MiB and its trim threshold at 3 MiB.
+
+    A 10^6-letter iterate allocates and frees buffers of up to about 1.25 MB.
+    Left alone, glibc slides both thresholds up to the largest mapped block
+    freed so far (trim at twice mmap), so whether such a buffer is mapped
+    afresh, with new page faults, or reuses warm heap, and how much freed
+    heap stays resident, depends on what the process freed before. Fixed,
+    those buffers come from the heap, larger ones are mapped and returned
+    when freed, and the peak resident memory no longer depends on the order
+    in which a process builds its big buffers. Does nothing where there is
+    no mallopt.
+    """
+    if sys.platform != "linux":
+        return
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def _cmd_iterate(args: argparse.Namespace) -> _Report:
+    _pin_malloc_thresholds()
     m = load_morphism(args.morphism)
     # one byte per letter when every symbol fits one
     buffer = bytearray if len(m.source) <= 256 else list
