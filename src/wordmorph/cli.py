@@ -125,7 +125,9 @@ def _cmd_check_morphism(args: argparse.Namespace) -> _Report:
         status = "holds" if report.holds else f"FAILS ({len(report.witnesses)} witness(es))"
         lines.append(f"condition {report.condition}: {status}")
         lines += [f"  note: {note}" for note in report.notes]
-        for w in report.witnesses[:_WITNESS_PRINT_CAP]:
+        # JSON prints only the first witness, so it renders no other
+        cap = (0 if first else 1) if args.json else _WITNESS_PRINT_CAP
+        for w in report.witnesses[:cap]:
             witness, line = _render_witness(w)
             first = first or witness
             lines.append(f"  {line}")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wordmorph import Morphism, Word
+from wordmorph import Morphism, Occurrence, PatternKind, Word
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -40,6 +40,37 @@ def word_checks(monkeypatch) -> list[Word]:
 
     monkeypatch.setattr(Word, "__post_init__", counting_post_init)
     return checked
+
+
+def occurs_at(sym: tuple[int, ...], kind: PatternKind, i: int, p: int) -> bool:
+    """Whether the pattern with period p starts at i, written out from its definition.
+
+    The caller keeps i, p and the pattern's length inside sym.
+    """
+    head = sym[i:i + p]  # X for squares and cubes, cX for overlaps
+    if kind is PatternKind.SQUARE:
+        written = head + head
+    elif kind is PatternKind.OVERLAP:
+        written = head + head + head[:1]
+    else:
+        written = head + head + head
+    return sym[i:i + len(written)] == written
+
+
+def naive_find_pattern(word: Word, kind: PatternKind, min_span: int = 0) -> Occurrence | None:
+    # A quadratic scan over (period, start), the order of the witness contract,
+    # from the first period whose span is at least min_span.
+    sym = word.symbols
+    n = len(sym)
+    p = 1
+    while kind.span(p) < min_span:
+        p += 1
+    while kind.span(p) <= n:
+        for i in range(n - kind.span(p) + 1):
+            if occurs_at(sym, kind, i, p):
+                return Occurrence(kind, i, p)
+        p += 1
+    return None
 
 
 def brute_border_violations(m: Morphism) -> list[tuple[str, str, str]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_border_violations
+from conftest import brute_border_violations, naive_find_pattern
 from wordmorph import (
     EndWitness,
     Morphism,
@@ -285,3 +285,53 @@ def test_image_triple_witness_replay(m, kind):
         assert find_pattern(w.word, kind) is None
         assert m.apply(w.word) == w.image
         assert w.occurrence.matches(w.image)
+
+
+# Targets of 2-5 letters, and of 255, 256 and 300: from 256 letters on the
+# gap between the scanned images, len(target), fits no byte, and from 257
+# the symbols do not either.
+@st.composite
+def morphisms_into_targets(draw):
+    k = draw(st.integers(1, 4))
+    t = draw(st.sampled_from([2, 3, 4, 5, 255, 256, 300]))
+    target = Alphabet(tuple(chr(0x4E00 + i) for i in range(t)))
+    # a few letters per morphism, so that images do repeat; near 255 when
+    # the target reaches that far
+    pool = sorted({s for s in (0, 1, 2, 3, 4, 254, 255, 299) if s < t})
+    used = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    uniform = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    images = [
+        Word(tuple(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n if uniform else 8))), target)
+        for _ in range(k)
+    ]
+    return Morphism(Alphabet.from_string("0123"[:k]), target, tuple(images))
+
+
+def naive_image_witnesses(m: Morphism, words, kind: PatternKind) -> list:
+    # one image at a time: apply, then the quadratic scan of the contract
+    found = []
+    for w in words:
+        image = m.apply(w)
+        occ = naive_find_pattern(image, kind)
+        if occ is not None:
+            found.append((w, image, occ))
+    return found
+
+
+def as_triples(report) -> list:
+    return [(w.word, w.image, w.occurrence) for w in report.witnesses]
+
+
+@given(morphisms_into_targets(), st.sampled_from([PatternKind.OVERLAP, PatternKind.SQUARE]))
+@settings(max_examples=150, deadline=None)
+def test_image_witnesses_match_a_per_image_naive_scan(m, kind):
+    # same words, same images, same minimal occurrences, in the same order
+    triples = filtered_triples(m.source, kind)
+    assert as_triples(check_image_triples(m, kind)) == naive_image_witnesses(m, triples, kind)
+    if len(m.source) < 2:
+        return
+    singles, pairs, _ = check_lemma_consequences(m)
+    for report, length in ((singles, 1), (pairs, 2)):
+        words = [Word(t, m.source) for t in itertools.product(range(len(m.source)), repeat=length)]
+        assert as_triples(report) == naive_image_witnesses(m, words, PatternKind.OVERLAP)

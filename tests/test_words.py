@@ -21,42 +21,12 @@ from wordmorph import (
     iterate_prefix,
     parse_word,
 )
-from conftest import assert_same_as_validated
+from wordmorph.words import _find_pattern_blocks
+from conftest import assert_same_as_validated, naive_find_pattern, occurs_at
 
 BIN = Alphabet.from_string("01")
 TERN = Alphabet.from_string("012")
 LATIN = Alphabet.from_string("abcdefghijklmnopqrstuvwxyz")
-
-
-def occurs_at(sym: tuple[int, ...], kind: PatternKind, i: int, p: int) -> bool:
-    """Whether the pattern with period p starts at i, written out from its definition.
-
-    The caller keeps i, p and the pattern's length inside sym.
-    """
-    head = sym[i:i + p]  # X for squares and cubes, cX for overlaps
-    if kind is PatternKind.SQUARE:
-        written = head + head
-    elif kind is PatternKind.OVERLAP:
-        written = head + head + head[:1]
-    else:
-        written = head + head + head
-    return sym[i:i + len(written)] == written
-
-
-def naive_find_pattern(word: Word, kind: PatternKind, min_span: int = 0) -> Occurrence | None:
-    # A quadratic scan over (period, start), the order of the witness contract,
-    # from the first period whose span is at least min_span.
-    sym = word.symbols
-    n = len(sym)
-    p = 1
-    while kind.span(p) < min_span:
-        p += 1
-    while kind.span(p) <= n:
-        for i in range(n - kind.span(p) + 1):
-            if occurs_at(sym, kind, i, p):
-                return Occurrence(kind, i, p)
-        p += 1
-    return None
 
 
 def test_alphabet_validation():
@@ -456,6 +426,59 @@ def test_find_pattern_edge_cases():
     word = Word((399, 300, 7, 300, 7, 0), wide)
     assert find_pattern(word, PatternKind.SQUARE) == Occurrence(PatternKind.SQUARE, 1, 2)
     assert find_pattern(word, PatternKind.OVERLAP) is None
+
+
+def blocks_of(words: list[tuple[int, ...]], wide: bool) -> list[bytes] | list[str]:
+    # the two spellings _find_pattern_blocks takes: one byte or one chr each
+    if wide:
+        return ["".join(map(chr, w)) for w in words]
+    return [bytes(w) for w in words]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "str"])
+def test_block_scan_sees_no_occurrence_across_a_gap(wide):
+    # joined without the gap, 01 01 is a square and 00 00 a cube
+    for words, kind in [
+        ([(0, 1), (0, 1)], PatternKind.SQUARE),
+        ([(0, 0), (0, 0)], PatternKind.CUBE),
+        ([(0,), (0,), (0,)], PatternKind.SQUARE),
+    ]:
+        assert _find_pattern_blocks(blocks_of(words, wide), 2, kind) == [], (words, kind)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "str"])
+def test_block_scan_edge_cases(wide):
+    for kind in PatternKind:
+        assert _find_pattern_blocks([], 2, kind) == []
+        # every block is shorter than the kind's minimal span
+        short = [(0,) * (kind.min_span - 1), (1,) * (kind.min_span - 1)]
+        assert _find_pattern_blocks(blocks_of(short, wide), 2, kind) == []
+    # one block hits at period 1, one at period 2, one not at all; the
+    # pairs still come in block order
+    words = [(0, 1, 0, 1), (1, 0, 1), (0, 0)]
+    assert _find_pattern_blocks(blocks_of(words, wide), 2, PatternKind.SQUARE) == [
+        (0, Occurrence(PatternKind.SQUARE, 0, 2)),
+        (2, Occurrence(PatternKind.SQUARE, 0, 1)),
+    ]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from([0, 1, 2, 254]), max_size=40), max_size=8),
+    st.sampled_from([255, 256, 300]),
+    st.sampled_from(list(PatternKind)),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_scan_matches_naive_scan_per_block(words, gap, kind):
+    # gap 255 joins bytes; a gap past 255 joins str blocks, as do words
+    # spelled wide
+    expected = [
+        (j, occ)
+        for j, w in enumerate(words)
+        if (occ := naive_find_pattern(Word(tuple(w), WIDE), kind)) is not None
+    ]
+    wide_words = [tuple(s + 45 for s in w) for w in words]  # 254 becomes 299
+    for blocks in (blocks_of(words, gap > 255), blocks_of(wide_words, True)):
+        assert _find_pattern_blocks(blocks, gap, kind) == expected
 
 
 def test_find_pattern_is_deterministic():
