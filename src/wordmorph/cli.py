@@ -10,6 +10,7 @@ anywhere except stdout and stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import os
@@ -192,15 +193,17 @@ _MMAP_THRESHOLD = 3 << 19  # 1.5 MiB
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap threshold at 1.5 MiB and its trim threshold at 3 MiB.
 
-    A 10^6-letter iterate allocates and frees buffers of up to about 1.25 MB.
-    Left alone, glibc slides both thresholds up to the largest mapped block
-    freed so far (trim at twice mmap), so whether such a buffer is mapped
-    afresh, with new page faults, or reuses warm heap, and how much freed
-    heap stays resident, depends on what the process freed before. Fixed,
-    those buffers come from the heap, larger ones are mapped and returned
-    when freed, and the peak resident memory no longer depends on the order
-    in which a process builds its big buffers. Does nothing where there is
-    no mallopt.
+    A 10^6-letter iterate allocates and frees two buffers of up to about
+    1.25 MB: the symbol buffer, which grows by an eighth past what it holds,
+    and the text, which charmap_decode grows by a quarter past what it holds
+    before cutting it to size. Left alone, glibc slides both thresholds up
+    to the largest mapped block freed so far (trim at twice mmap), so
+    whether such a buffer is mapped afresh, with new page faults, or reuses
+    warm heap, and how much freed heap stays resident, depends on what the
+    process freed before. Fixed, those buffers come from the heap, larger
+    ones are mapped and returned when freed, and the peak resident memory
+    no longer depends on the order in which a process builds its big
+    buffers. Does nothing where there is no mallopt.
     """
     if sys.platform != "linux":
         return
@@ -219,10 +222,26 @@ def _pin_malloc_thresholds() -> None:
 def _cmd_iterate(args: argparse.Namespace) -> _Report:
     _pin_malloc_thresholds()
     m = load_morphism(args.morphism)
-    # one byte per letter when every symbol fits one
-    buffer = bytearray if len(m.source) <= 256 else list
-    symbols = fixed_point_symbols(m, args.seed, args.length, buffer)
-    return _Report("pass", [m.source.spell(symbols)])
+    cut = len(m.source)  # the symbol of the last image, cut to --length
+    # one byte per letter when every symbol, cut included, fits one
+    buffer = bytearray if cut < 256 else list
+    word, images, read = fixed_point_symbols(m, args.seed, args.length, buffer)
+    # x[:N] is g(x[0]) ... g(x[read - 1]) for the power g whose images these
+    # are, less what the last image adds past N. Shrinking word to the
+    # letters read frees the rest of it before the text is built, so the
+    # text reuses that memory, not fresh pages.
+    surplus = len(word) - args.length
+    del word[read:]
+    images = [m.source.spell(image) for image in images]
+    last = images[word[-1]]
+    images.append(last[: len(last) - surplus])
+    word[-1] = cut
+    if buffer is bytearray:
+        # each letter through a tuple of strings: no list of pieces is built
+        text = codecs.charmap_decode(word, "strict", tuple(images))[0]
+    else:
+        text = "".join([images[s] for s in word])
+    return _Report("pass", [text])
 
 
 def _cmd_catalog(args: argparse.Namespace) -> _Report:

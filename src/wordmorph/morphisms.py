@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from operator import length_hint
 
 from .words import Alphabet, Word, _trusted_word, parse_word
 
@@ -78,7 +78,9 @@ def iterate_prefix(m: Morphism, seed: str, target_len: int) -> Word:
     Requires source == target and an image of seed beginning with seed;
     raises ValueError otherwise, as fixed_point_symbols does.
     """
-    return _trusted_word(tuple(fixed_point_symbols(m, seed, target_len, list)), m.source)
+    word, _, _ = fixed_point_symbols(m, seed, target_len, list)
+    del word[target_len:]
+    return _trusted_word(tuple(word), m.source)
 
 
 def fixed_point_symbols(
@@ -86,12 +88,15 @@ def fixed_point_symbols(
     seed: str,
     target_len: int,
     buffer: Callable[[Iterable[int]], MutableSequence[int]],
-) -> MutableSequence[int]:
-    """The symbols of iterate_prefix(m, seed, target_len), in a buffer(...).
+) -> tuple[MutableSequence[int], list[MutableSequence[int]], int]:
+    """(word, images, read): the first target_len letters of the fixed point
+    x of m on seed, read off a power g of m whose images are images.
 
-    buffer is list, or bytearray when every symbol fits a byte (at most 256
-    letters): Alphabet.spell decodes a bytearray as it is, and no tuple of
-    ints is built.
+    word and each of g's images are a buffer(...): list, or bytearray when
+    every symbol fits a byte. word holds g(x[0]) g(x[1]) ... g(x[read - 1]).
+    Its first target_len symbols are x[:target_len]; only the last image
+    reaches past them. iterate_prefix cuts word to target_len; the iterate
+    command spells only g's images and the letters read, word[:read].
 
     Requires source == target and an image of seed beginning with seed. With
     h = m, the fixed point x then satisfies x = h(x), hence x = g(x) for every
@@ -128,12 +133,19 @@ def fixed_point_symbols(
         g = g.compose(m)
     images = [buffer(im.symbols) for im in g.images]
     word = buffer(images[s])
-    for letter in islice(word, 1, None):
+    letters = iter(word)
+    next(letters)
+    for letter in letters:
         if len(word) >= target_len:
+            # the iterator stands past letter, which is not read; a list or
+            # bytearray iterator's length hint is exact, so the pass counts
+            # nothing per letter
+            read = len(word) - length_hint(letters) - 1
             break
         word.extend(images[letter])
-    del word[target_len:]
-    return word
+    else:  # g(seed) == seed, target_len == 1
+        read = len(word)
+    return word, images, read
 
 
 _CATALOG: dict[str, tuple[str, tuple[str, ...]]] = {

@@ -70,9 +70,10 @@ class Alphabet:
         """The letters of in-range symbols, a tuple, list or bytearray of them.
 
         Spelled in C: `codecs.charmap_decode` maps byte s to letter s. A
-        bytearray is decoded as it is; other symbols first become one byte
-        each through `bytearray` (faster than `bytes` on a tuple of more than
-        a few symbols). Symbols past 255 (an alphabet of more than 256
+        bytearray, such as an image of the iterate command's power, is
+        decoded as it is; other symbols first become one byte each through
+        `bytearray` (faster than `bytes` on a tuple of more than a few
+        symbols). Symbols past 255 (an alphabet of more than 256
         letters) fit no byte, and those are spelled letter by letter instead.
         """
         if not isinstance(symbols, bytearray):
@@ -95,7 +96,8 @@ class Word:
     `text` spells the word with `Alphabet.spell`: one byte per symbol, decoded
     in C through the alphabet's letters padded to a 256-entry map, which is
     CPython's fast path; a word with symbols past 255 is spelled letter by
-    letter.
+    letter. The iterate command builds no Word of its prefix: it spells the
+    images of a power with `Alphabet.spell` and joins copies of them.
     """
 
     symbols: tuple[int, ...]

@@ -299,6 +299,47 @@ def test_iterate_prefix_catalog_at_power_boundaries(name):
         assert iterate_prefix(m, "0", length).text == naive_iterate(images, "0", length)
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_iterate_command_catalog_at_power_boundaries(name):
+    # the command spells g(x[0]) ... g(x[read - 1]) from g's images and cuts
+    # the last one: besides the library test's lengths, every cut of the
+    # last image, at the first whole image each power g reads past (the
+    # longest image of the power before, squared)
+    m = catalog(name)
+    images = {letter: m.image(letter).text for letter in m.source.letters}
+    lengths = {10**5}
+    power, previous = dict(images), 1
+    while previous**2 < 10**5:
+        size, longest = len(power["0"]), max(map(len, power.values()))
+        lengths |= {size - 1, size, size + 1, longest**2 - 1, longest**2, longest**2 + 1}
+        start = -(-previous**2 // size) * size
+        lengths |= set(range(start + 1, start + size + 1))
+        previous = longest
+        power = {a: "".join(power[b] for b in image) for a, image in images.items()}
+    lengths = sorted(n for n in lengths if n <= 10**5 + 1)
+    full = naive_iterate(images, "0", lengths[-1])
+    for length in lengths:
+        assert iterate_command(name, "0", length) == (0, full[:length] + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "images, expected",
+    [
+        (("01", "1"), "0" + "1" * (10**5 - 1)),
+        (("01", "1", "2222"), "0" + "1" * (10**5 - 1)),
+        (("012", "12", "2"), "0" + "".join("1" + "2" * i for i in range(1, 450))),
+    ],
+    ids=["01,1", "01,1,2222", "012,12,2"],
+)
+def test_iterate_command_closed_forms_without_growth(tmp_path, images, expected):
+    # a letter whose image never grows: the power reads about one letter for
+    # each letter it writes, and nearly every image joined has one letter
+    m = Morphism.from_strings("012"[: len(images)], images)
+    path = tmp_path / "morphism.txt"
+    path.write_text(format_morphism_file(m), encoding="utf-8")
+    assert iterate_command(path, "0", 10**5) == (0, expected[: 10**5] + "\n", "")
+
+
 def test_iterate_and_apply_build_no_checked_words(word_checks):
     m = catalog("thue_morse")
     word = iterate_prefix(m, "0", 10**5)
