@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .morphisms import Morphism
-from .unstackable import border_offenders, short_borders
+from .unstackable import check_border_condition
 from .words import (
     Occurrence,
     PatternKind,
@@ -457,28 +457,28 @@ def _explain_border(m: Morphism, word: Word, occ: Occurrence, n: int) -> list[st
             exhibited.setdefault(
                 (a, b, n - q), f"tile prefix of length {n - q} starting at boundary {boundary}"
             )
-    short = {
-        (a, b, len(border)): (border, stem, tail)
-        for a, b, border, stem, tail in short_borders(m)
-    }
+    witnesses: dict[tuple[str, str, int], list] = {}
+    for w in check_border_condition(m).witnesses:
+        witnesses.setdefault((w.a, w.b, len(w.border)), []).append(w)
     lines: list[str] = []
     for (a, b, lv), how in exhibited.items():
-        if (a, b, lv) not in short:
+        if lv > n // 2:
             lines.append(
                 f"  shared border V={m.image(b)[:lv].text} between image({a!r}) and"
                 f" image({b!r}) ({how}) is longer than floor(n/2)={n // 2};"
                 " outside the border condition's reach"
             )
             continue
-        border, stem, tail = short[a, b, lv]
+        found = witnesses[a, b, lv]
+        w = found[0]
         lines.append(
-            f"  shared border V={border.text} ({how}): image({a!r}) = S·V with"
-            f" S={stem.text}, image({b!r}) = V·U with U={tail.text}"
+            f"  shared border V={w.border.text} ({how}): image({a!r}) = S·V with"
+            f" S={w.stem.text}, image({b!r}) = V·U with U={w.tail.text}"
         )
         hits = [
-            f"S is a suffix of image({c!r})" if side == "stem-suffix"
-            else f"U is a prefix of image({c!r})"
-            for side, c in border_offenders(m, stem, tail)
+            f"S is a suffix of image({hit.offender!r})" if hit.side == "stem-suffix"
+            else f"U is a prefix of image({hit.offender!r})"
+            for hit in found
         ]
         lines.append("    border condition violated: " + "; ".join(hits))
     return lines

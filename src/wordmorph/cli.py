@@ -293,10 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs the image-triple and border conditions, and for --def"
             " square the marked-ends condition as well."
-            " Borders are nonempty: every word V with 1 <= |V| <= floor(n/2)"
-            " that is simultaneously a suffix of one image and a prefix of"
-            " another must leave remainders that match no image suffix or"
-            " prefix. A passing morphism preserves pattern-freeness; the"
+            " The border condition: for every ordered pair of letters a, b,"
+            " a == b included, and every V with 1 <= |V| <= floor(n/2) such"
+            " that image(a) == S + V and image(b) == V + U, S is a suffix of"
+            " no image and U is a prefix of no image."
+            " A passing morphism preserves pattern-freeness; the"
             " certify subcommand provides the brute-force cross-check."
         ),
     )

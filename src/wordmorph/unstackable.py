@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .morphisms import Morphism
@@ -164,66 +163,41 @@ def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
     return ConditionReport(f"{kind.value}-triples", witnesses, notes, words_checked=len(triples))
 
 
-def border_offenders(m: Morphism, stem: Word, tail: Word) -> list[tuple[str, str]]:
-    """The (side, letter) pairs that make a shared border exploitable.
+def check_border_condition(m: Morphism) -> ConditionReport:
+    """Check that no short shared border leaks an image end.
 
-    side is "stem-suffix" for each letter whose image ends with stem and
-    "tail-prefix" for each letter whose image begins with tail. Every
-    stem-suffix pair comes before every tail-prefix pair, letters in alphabet
-    order within each side.
-    """
-    stem_hits = [
-        ("stem-suffix", c) for c, image in zip(m.source.letters, m.images)
-        if image.symbols[len(image) - len(stem):] == stem.symbols
-    ]
-    tail_hits = [
-        ("tail-prefix", c) for c, image in zip(m.source.letters, m.images)
-        if image.symbols[:len(tail)] == tail.symbols
-    ]
-    return stem_hits + tail_hits
-
-
-def short_borders(m: Morphism) -> Iterator[tuple[str, str, Word, Word, Word]]:
-    """The short shared borders the border condition inspects.
-
-    Yields (a, b, V, S, U) for every ordered pair (a, b) of source letters,
-    including a == b, and every V with 1 <= |V| <= floor(n/2) such that
-    image(a) == S + V and image(b) == V + U, in (a, b, |V|) order; for a given
-    (a, b) and length there is at most one such V. Raises NonUniformError for
-    a non-uniform morphism.
+    For every ordered pair of letters a, b, a == b included, and every V with
+    1 <= |V| <= floor(n/2) such that image(a) == S + V and image(b) == V + U,
+    S is a suffix of no image and U is a prefix of no image. Each image that
+    breaks this is a witness of the border (a, b, V, S, U), on side
+    "stem-suffix" or "tail-prefix". Witnesses are ordered by (a, b, |V|),
+    suffix side first, offenders in alphabet order. The scan compares symbol
+    tuples, and builds V, S and U as Words once per border with an offender.
+    Raises NonUniformError for a non-uniform morphism.
     """
     n = m.uniform_length()
     if n is None:
         raise NonUniformError("the border condition requires a uniform morphism")
-    letters = m.source.letters
-    for a, ia in zip(letters, m.images):
-        for b, ib in zip(letters, m.images):
-            for lv in range(1, n // 2 + 1):
-                if ia.symbols[n - lv:] == ib.symbols[:lv]:
-                    yield a, b, ia[n - lv:], ia[:n - lv], ib[lv:]
-
-
-def check_border_condition(m: Morphism) -> ConditionReport:
-    """Check that no short shared border leaks an image end.
-
-    For every border (a, b, V, S, U) of short_borders the condition requires
-    that S is a suffix of no image and U a prefix of no image; border_offenders
-    names the images that break it. Witnesses are ordered by (a, b, |V|),
-    suffix side before prefix side, offenders in alphabet order, which is the
-    full lexicographic order.
-    """
-    witnesses = tuple(
-        BorderWitness(a, b, border, stem, tail, side, c)
-        for a, b, border, stem, tail in short_borders(m)
-        for side, c in border_offenders(m, stem, tail)
-    )
+    symbols = [(c, image.symbols) for c, image in zip(m.source.letters, m.images)]
+    witnesses: list[Witness] = []
+    for (a, ia), (b, ib) in itertools.product(symbols, repeat=2):
+        for lv in range(1, n // 2 + 1):
+            border = ia[n - lv:]
+            if border != ib[:lv]:
+                continue
+            stem, tail = ia[:n - lv], ib[lv:]
+            offenders = [("stem-suffix", c) for c, ic in symbols if ic[lv:] == stem]
+            offenders += [("tail-prefix", c) for c, ic in symbols if ic[:n - lv] == tail]
+            if offenders:
+                v, s, u = (_trusted_word(part, m.target) for part in (border, stem, tail))
+                witnesses += [BorderWitness(a, b, v, s, u, side, c) for side, c in offenders]
     notes: tuple[str, ...] = ()
-    if m.uniform_length() == 1:
+    if n == 1:
         notes = (
             "a 1-uniform morphism admits no border with 1 <= |V| <= floor(n/2);"
             " the condition holds vacuously",
         )
-    return ConditionReport("border", witnesses, notes)
+    return ConditionReport("border", tuple(witnesses), notes)
 
 
 def check_marked_ends(m: Morphism) -> ConditionReport:

@@ -323,21 +323,22 @@ def test_iterate_command_catalog_at_power_boundaries(name):
 
 
 @pytest.mark.parametrize(
-    "images, expected",
+    "images, length, expected",
     [
-        (("01", "1"), "0" + "1" * (10**5 - 1)),
-        (("01", "1", "2222"), "0" + "1" * (10**5 - 1)),
-        (("012", "12", "2"), "0" + "".join("1" + "2" * i for i in range(1, 450))),
+        (("01", "1"), 10**5, "0" + "1" * (10**5 - 1)),
+        (("01", "1", "2222"), 10**5, "0" + "1" * (10**5 - 1)),
+        (("012", "12", "2"), 10**5, "0" + "".join("1" + "2" * i for i in range(1, 450))),
+        (("012", "12", "2"), 10**6, "0" + "".join("1" + "2" * i for i in range(1, 1500))),
     ],
-    ids=["01,1", "01,1,2222", "012,12,2"],
+    ids=["01,1", "01,1,2222", "012,12,2", "012,12,2@10^6"],
 )
-def test_iterate_command_closed_forms_without_growth(tmp_path, images, expected):
+def test_iterate_command_closed_forms_without_growth(tmp_path, images, length, expected):
     # a letter whose image never grows: the power reads about one letter for
     # each letter it writes, and nearly every image joined has one letter
     m = Morphism.from_strings("012"[: len(images)], images)
     path = tmp_path / "morphism.txt"
     path.write_text(format_morphism_file(m), encoding="utf-8")
-    assert iterate_command(path, "0", 10**5) == (0, expected[: 10**5] + "\n", "")
+    assert iterate_command(path, "0", length) == (0, expected[:length] + "\n", "")
 
 
 def test_iterate_and_apply_build_no_checked_words(word_checks):

@@ -22,7 +22,7 @@ from wordmorph import (
     check_square_def,
     find_pattern,
 )
-from wordmorph.unstackable import pattern_free_triples, short_borders
+from wordmorph.unstackable import pattern_free_triples
 from wordmorph.words import Alphabet, Word
 
 
@@ -30,22 +30,28 @@ def doubling() -> Morphism:
     return Morphism.from_strings("01", ["00", "11"])
 
 
-def brute_short_borders(m: Morphism) -> list[tuple[str, str, str, str, str]]:
-    # Every (a, b, V, S, U) over plain strings, found by testing each short
-    # prefix of image(b) as a suffix of image(a).
-    images = [(a, m.image(a).text) for a in m.source.letters]
+def brute_border_witnesses(m: Morphism) -> list[tuple[str, str, str, str, str, str, str]]:
+    # Every (a, b, V, S, U, side, offender) over plain strings: each short
+    # prefix V of image(b) that ends image(a), then each image ending with S,
+    # then each image beginning with U.
+    images = [(c, m.image(c).text) for c in m.source.letters]
     n = m.uniform_length()
+    out = []
+    for a, ia in images:
+        for b, ib in images:
+            for lv in range(1, n // 2 + 1):
+                v, s, u = ib[:lv], ia[:-lv], ib[lv:]
+                if ia.endswith(v):
+                    out += [(a, b, v, s, u, "stem-suffix", c) for c, ic in images if ic.endswith(s)]
+                    out += [(a, b, v, s, u, "tail-prefix", c) for c, ic in images if ic.startswith(u)]
+    return out
+
+
+def border_witness_texts(m: Morphism) -> list[tuple[str, str, str, str, str, str, str]]:
     return [
-        (a, b, ib[:lv], ia[:-lv], ib[lv:])
-        for a, ia in images
-        for b, ib in images
-        for lv in range(1, n // 2 + 1)
-        if ia.endswith(ib[:lv])
+        (w.a, w.b, w.border.text, w.stem.text, w.tail.text, w.side, w.offender)
+        for w in check_border_condition(m).witnesses
     ]
-
-
-def short_border_texts(m: Morphism) -> list[tuple[str, str, str, str, str]]:
-    return [(a, b, v.text, s.text, u.text) for a, b, v, s, u in short_borders(m)]
 
 
 def filtered_triples(alphabet: Alphabet, kind: PatternKind) -> list[Word]:
@@ -131,23 +137,34 @@ def test_border_holds_for_catalog_squares():
 def test_border_requires_uniform():
     with pytest.raises(NonUniformError):
         check_border_condition(Morphism.from_strings("01", ["0", "11"]))
-    with pytest.raises(NonUniformError):
-        list(short_borders(Morphism.from_strings("01", ["0", "11"])))
 
 
-def test_short_borders_match_string_scan_on_catalog():
-    # every short border, with or without an offender, in (a, b, |V|) order
+def test_border_witnesses_match_string_scan_on_catalog():
     for name in catalog_names():
         m = catalog(name)
-        assert short_border_texts(m) == brute_short_borders(m), name
-    assert short_border_texts(catalog("thue_morse")) == [
-        ("0", "1", "1", "0", "0"),
-        ("1", "0", "0", "1", "1"),
+        assert border_witness_texts(m) == brute_border_witnesses(m), name
+    assert border_witness_texts(catalog("thue_morse")) == [
+        ("0", "1", "1", "0", "0", "stem-suffix", "1"),
+        ("0", "1", "1", "0", "0", "tail-prefix", "0"),
+        ("1", "0", "0", "1", "1", "stem-suffix", "0"),
+        ("1", "0", "0", "1", "1", "tail-prefix", "1"),
     ]
-    # leech passes the border condition, so none of its borders has an offender
-    assert [v for _, _, v, _, _ in short_border_texts(catalog("leech"))] == [
-        "0", "01210", "1", "12021", "2", "20102"
-    ]
+
+
+@pytest.mark.parametrize(
+    "letters, images, target",
+    [
+        ("012", ["bba", "abb", "aab"], "ab"),
+        ("01", ["abca", "cabc"], "abc"),
+        ("0123", ["xyx", "yxy", "xxy", "yyx"], "xy"),
+        # a 300-letter target t, symbols past 255: 0 -> t[299]t[280], 1 -> t[280]t[299]
+        ("01", ["\u4f2b\u4f18", "\u4f18\u4f2b"], "".join(chr(0x4E00 + i) for i in range(300))),
+    ],
+)
+def test_border_witnesses_match_string_scan_onto_target(letters, images, target):
+    m = Morphism.from_strings(letters, images, target=target)
+    assert border_witness_texts(m) == brute_border_witnesses(m)
+    assert border_witness_texts(m)
 
 
 def test_border_one_uniform_is_vacuous():
@@ -271,10 +288,27 @@ def test_border_witness_replay(m):
         assert verdict.passed == all(r.holds for r in verdict.reports)
 
 
-@given(uniform_morphisms())
-@settings(max_examples=60, deadline=None)
-def test_short_borders_match_string_scan(m):
-    assert short_border_texts(m) == brute_short_borders(m)
+@st.composite
+def bordered_uniform_morphisms(draw):
+    # k = 2-4, n = 1-8; about half the images are drawn with a border of
+    # their own, so that a == b borders occur on every size
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8))
+    letters = "0123"[:k]
+    images = []
+    for _ in letters:
+        image = draw(st.text(alphabet=letters, min_size=n, max_size=n))
+        if n >= 2 and draw(st.booleans()):
+            lv = draw(st.integers(1, n // 2))
+            image = image[:n - lv] + image[:lv]
+        images.append(image)
+    return Morphism.from_strings(letters, images)
+
+
+@given(bordered_uniform_morphisms())
+@settings(max_examples=200, deadline=None)
+def test_border_witnesses_match_string_scan(m):
+    assert border_witness_texts(m) == brute_border_witnesses(m)
 
 
 @given(uniform_morphisms(), st.sampled_from([PatternKind.OVERLAP, PatternKind.SQUARE]))
