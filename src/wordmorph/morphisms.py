@@ -118,7 +118,7 @@ def fixed_point_symbols(
     if m.source != m.target:
         raise ValueError("iteration requires source and target alphabets to match")
     if target_len < 1:
-        raise ValueError("target_len must be >= 1")
+        raise ValueError(f"length must be >= 1, got {target_len}")
     s = m.source.index(seed)
     first = m.images[s].symbols[0]
     if first != s:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .morphisms import Morphism
 from .words import (
     Occurrence, PatternKind, Word, _find_pattern_blocks, _trusted_word, enumerate_pattern_free,
+    find_pattern,
 )
 
 
@@ -117,29 +118,27 @@ def _image_witnesses(m: Morphism, words, kind: PatternKind) -> tuple[Witness, ..
     """An ImageWitness, with the minimal occurrence, for each word whose image
     contains the kind; in the order of words.
 
-    The images are scanned together, in one words._find_pattern_blocks pass.
-    Each word's block is its letters' image symbols joined, one byte each, or
-    one character each when the target has 256 letters or more (the gap
-    symbol, len(target), is then past 255). A hit's image Word is read off
-    its block; images that avoid the kind are never built as Words.
+    When the gap symbol, len(target), fits a byte, the images are scanned
+    together, in one words._find_pattern_blocks pass. Each word's block is its
+    letters' image symbols joined, one byte each; a hit's image Word is read
+    off its block, and images that avoid the kind are never built as Words.
+    A target of 256 letters or more leaves the gap no byte: each image is
+    then built with m.apply and scanned alone by find_pattern, which gives
+    it the same minimal occurrence.
     """
     gap = len(m.target)
-    if gap < 256:
-        parts = [bytes(image.symbols) for image in m.images]
-        spelled = tuple
-    else:
-        parts = ["".join(map(chr, image.symbols)) for image in m.images]
-        spelled = _ords
-    empty = parts[0][:0]
-    blocks = [empty.join([parts[s] for s in w.symbols]) for w in words]
+    if gap > 255:
+        return tuple([
+            ImageWitness(w, image, occ)
+            for w in words
+            if (occ := find_pattern(image := m.apply(w), kind)) is not None
+        ])
+    parts = [bytes(image.symbols) for image in m.images]
+    blocks = [b"".join([parts[s] for s in w.symbols]) for w in words]
     return tuple([
-        ImageWitness(words[j], _trusted_word(spelled(blocks[j]), m.target), occ)
+        ImageWitness(words[j], _trusted_word(tuple(blocks[j]), m.target), occ)
         for j, occ in _find_pattern_blocks(blocks, gap, kind)
     ])
-
-
-def _ords(block: str) -> tuple[int, ...]:
-    return tuple(map(ord, block))
 
 
 def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
@@ -147,8 +146,8 @@ def check_image_triples(m: Morphism, kind: PatternKind) -> ConditionReport:
 
     Witnesses appear in lexicographic order of the source triple and carry
     the minimal occurrence found in the offending image, the one find_pattern
-    gives it. All the triples' images are scanned in one bit-parallel pass
-    (see _image_witnesses), and only the offending images are built as Words.
+    gives it. The triples' images are scanned in one bit-parallel pass, or
+    image by image onto a target of 256 letters or more (see _image_witnesses).
     """
     if kind not in (PatternKind.OVERLAP, PatternKind.SQUARE):
         raise ValueError("image-triple check supports overlap and square patterns only")

@@ -96,8 +96,7 @@ class Word:
     `text` spells the word with `Alphabet.spell`: one byte per symbol, decoded
     in C through the alphabet's letters padded to a 256-entry map, which is
     CPython's fast path; a word with symbols past 255 is spelled letter by
-    letter. The iterate command builds no Word of its prefix: it spells the
-    images of a power with `Alphabet.spell` and joins copies of them.
+    letter.
     """
 
     symbols: tuple[int, ...]
@@ -305,20 +304,21 @@ def find_pattern(word: Word, kind: PatternKind, *, min_span: int = 0) -> Occurre
 
 
 def _find_pattern_blocks(
-    blocks: Sequence[bytes] | Sequence[str], gap: int, kind: PatternKind
+    blocks: Sequence[bytes], gap: int, kind: PatternKind
 ) -> list[tuple[int, Occurrence]]:
     """(index, find_pattern's occurrence) for each block that contains the kind.
 
-    One scan for many words: blocks hold letter symbols, one byte each, or
-    one character chr(symbol) each when a symbol or the gap is past 255.
-    They are joined into one buffer with the symbol gap, which is in no
-    block, between them; the letter masks are built once and the periods
+    One scan for many words: blocks hold letter symbols, one byte each, and
+    gap is a byte value in no block. They are joined into one buffer with
+    gap between them; the letter masks are built once and the periods
     stepped once, up to the longest block. An occurrence's equal pairs cover
     every position of its span, and no pair with a gap in it is equal, so no
     occurrence crosses a gap. Each block therefore gets the first period that
     has a start in it, at its leftmost such start: the minimal occurrence
     find_pattern gives the block alone. Once a block has its occurrence, its
     starts are masked out of the later periods. Pairs come in block order.
+    Words whose gap or symbols fit no byte are scanned one at a time by
+    find_pattern instead, which has a str path for symbols past 255.
 
     find_pattern stays its own loop: a one-block batch made it about 50 %
     slower on 6-letter words, and a period generator shared by both cost it
@@ -327,18 +327,11 @@ def _find_pattern_blocks(
     if not blocks:
         return []
     # bit i of a mask is position i of the joined buffer, as in find_pattern
-    if isinstance(blocks[0], str):
-        text = chr(gap).join(blocks)[::-1]
-        letters = set(text)
-        zeros = {ord(c): "0" for c in letters}  # the gap's too
-        letters.discard(chr(gap))
-        masks = [int(text.translate({**zeros, ord(c): "1"}), 2) for c in letters]
-    else:
-        raw = bytearray(bytes((gap,)).join(blocks))
-        raw.reverse()
-        letters = set(raw)
-        letters.discard(gap)
-        masks = [int(raw.translate(_ONE[c]), 2) for c in letters]
+    raw = bytearray(bytes((gap,)).join(blocks))
+    raw.reverse()
+    letters = set(raw)
+    letters.discard(gap)
+    masks = [int(raw.translate(_ONE[c]), 2) for c in letters]
     starts = [0]  # where each block starts, then where one more would
     end = 0
     for block in blocks:

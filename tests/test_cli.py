@@ -232,6 +232,10 @@ def test_iterate_not_prolongable(tmp_path):
     res = run_cli("iterate", str(f), "--seed", "0", "--length", "8")
     assert res.returncode == 2
     assert "prolongable" in res.stderr
+    # a length below 1 is named as the option the user gave, with its value
+    res = run_cli("iterate", "thue_morse", "--seed", "0", "--length", "0")
+    assert res.returncode == 2
+    assert res.stderr == "error: length must be >= 1, got 0\n"
 
 
 def test_reader_closing_the_pipe_early_is_not_an_error():

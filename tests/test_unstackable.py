@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_border_violations, naive_find_pattern
@@ -322,8 +322,8 @@ def test_image_triple_witness_replay(m, kind):
 
 
 # Targets of 2-5 letters, and of 255, 256 and 300: from 256 letters on the
-# gap between the scanned images, len(target), fits no byte, and from 257
-# the symbols do not either.
+# gap between the scanned images, len(target), fits no byte and each image
+# is scanned alone, and from 257 the symbols do not fit one either.
 @st.composite
 def morphisms_into_targets(draw):
     k = draw(st.integers(1, 4))
@@ -342,6 +342,15 @@ def morphisms_into_targets(draw):
     return Morphism(Alphabet.from_string("0123"[:k]), target, tuple(images))
 
 
+def onto_target(t: int) -> Morphism:
+    # 0 -> ab, 1 -> ba, 2 -> aa over the last two letters a, b of a t-letter
+    # target: images that hit and images that miss, on both kinds
+    target = Alphabet(tuple(chr(0x4E00 + i) for i in range(t)))
+    a, b = t - 1, t - 2
+    images = [Word(pair, target) for pair in ((a, b), (b, a), (a, a))]
+    return Morphism(Alphabet.from_string("012"), target, tuple(images))
+
+
 def naive_image_witnesses(m: Morphism, words, kind: PatternKind) -> list:
     # one image at a time: apply, then the quadratic scan of the contract
     found = []
@@ -358,6 +367,11 @@ def as_triples(report) -> list:
 
 
 @given(morphisms_into_targets(), st.sampled_from([PatternKind.OVERLAP, PatternKind.SQUARE]))
+# the batch scan's widest gap, a gap past 255, and a gap and symbols past
+# 255: both sides of len(target) > 255 run on every run
+@example(onto_target(255), PatternKind.OVERLAP)
+@example(onto_target(256), PatternKind.SQUARE)
+@example(onto_target(300), PatternKind.OVERLAP)
 @settings(max_examples=150, deadline=None)
 def test_image_witnesses_match_a_per_image_naive_scan(m, kind):
     # same words, same images, same minimal occurrences, in the same order
