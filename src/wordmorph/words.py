@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import codecs
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -66,21 +66,19 @@ class Alphabet:
     def word(self, text: str) -> Word:
         return parse_word(text, self)
 
-    def spell(self, symbols: Iterable[int]) -> str:
+    def spell(self, symbols: Sequence[int]) -> str:
         """The letters of in-range symbols, a tuple, list or bytearray of them.
 
-        Spelled in C: `codecs.charmap_decode` maps byte s to letter s. A
-        bytearray, such as an image of the iterate command's power, is
-        decoded as it is; other symbols first become one byte each through
-        `bytearray` (faster than `bytes` on a tuple of more than a few
-        symbols). Symbols past 255 (an alphabet of more than 256
-        letters) fit no byte, and those are spelled letter by letter instead.
+        Spelled in C: the symbols become one byte each through `bytearray`
+        (faster than `bytes` on a tuple of more than a few symbols), and
+        `codecs.charmap_decode` maps byte s to letter s. Symbols past 255
+        (an alphabet of more than 256 letters) fit no byte, and those are
+        spelled letter by letter instead.
         """
-        if not isinstance(symbols, bytearray):
-            try:
-                symbols = bytearray(symbols)
-            except ValueError:  # a symbol past 255
-                return "".join([self.letters[s] for s in symbols])
+        try:
+            symbols = bytearray(symbols)
+        except ValueError:  # a symbol past 255
+            return "".join([self.letters[s] for s in symbols])
         return codecs.charmap_decode(symbols, "strict", self._charmap)[0]
 
 
@@ -93,10 +91,7 @@ class Word:
     Words the library builds from already-valid data (parsed text, slices,
     concatenations, enumerated words, morphism images) are not checked again.
 
-    `text` spells the word with `Alphabet.spell`: one byte per symbol, decoded
-    in C through the alphabet's letters padded to a 256-entry map, which is
-    CPython's fast path; a word with symbols past 255 is spelled letter by
-    letter.
+    `text` spells the word with `Alphabet.spell`.
     """
 
     symbols: tuple[int, ...]

@@ -73,24 +73,21 @@ def naive_find_pattern(word: Word, kind: PatternKind, min_span: int = 0) -> Occu
     return None
 
 
-def brute_border_violations(m: Morphism) -> list[tuple[str, str, str]]:
-    # Independent re-derivation over plain strings of every (a, b, V) with
-    # |V| <= floor(n/2) whose S or U matches an image end, deliberately
-    # written differently from the library scan.
-    images = {a: m.image(a).text for a in m.source.letters}
+def brute_border_witnesses(m: Morphism) -> list[tuple[str, str, str, str, str, str, str]]:
+    # Every (a, b, V, S, U, side, offender) over plain strings: each short
+    # prefix V of image(b) that ends image(a), then each image ending with S,
+    # then each image beginning with U.
+    images = [(c, m.image(c).text) for c in m.source.letters]
     n = m.uniform_length()
-    bad = []
-    for a, ia in images.items():
-        for b, ib in images.items():
+    out = []
+    for a, ia in images:
+        for b, ib in images:
             for lv in range(1, n // 2 + 1):
-                if ia[n - lv:] != ib[:lv]:
-                    continue
-                stem, tail = ia[:n - lv], ib[lv:]
-                if any(img.endswith(stem) for img in images.values()) or any(
-                    img.startswith(tail) for img in images.values()
-                ):
-                    bad.append((a, b, ib[:lv]))
-    return bad
+                v, s, u = ib[:lv], ia[:-lv], ib[lv:]
+                if ia.endswith(v):
+                    out += [(a, b, v, s, u, "stem-suffix", c) for c, ic in images if ic.endswith(s)]
+                    out += [(a, b, v, s, u, "tail-prefix", c) for c, ic in images if ic.startswith(u)]
+    return out
 
 
 # Frozen JSON report schema shared by the CLI tests and the acceptance gate.

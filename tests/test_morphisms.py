@@ -255,20 +255,23 @@ def test_iterate_command_agrees_with_naive_iteration(tmp_path_factory, morphism,
         assert iterate_command(path, letter, target_len) == expected
 
 
-def test_iterate_past_255_agrees_with_naive_iteration(tmp_path):
-    # h(a) = a, a + 1, a + 97 (mod 300): letter n of the fixed point on the
-    # first letter is the sum of 0, 1 or 97 over n's base-3 digits, so the
-    # first 26 letters have symbols below 256 and letter 26 has 291, a
-    # symbol that fits no byte
-    letters = "".join(chr(0x4E00 + i) for i in range(300))
-    images = {a: a + letters[(i + 1) % 300] + letters[(i + 97) % 300] for i, a in enumerate(letters)}
+@pytest.mark.parametrize("k", [255, 256, 300])
+def test_iterate_past_255_agrees_with_naive_iteration(tmp_path, k):
+    # h(a) = a, a + 1, a + 97 (mod k): letter n of the fixed point on the
+    # first letter is the sum of 0, 1 or 97 over n's base-3 digits, so on
+    # 300 letters the first 26 letters have symbols below 256 and letter 26
+    # has 291, a symbol that fits no byte. The command's cut symbol k fits a
+    # byte on 255 letters and not on 256, so it reads into bytes on 255
+    # letters and into a list on 256 and 300.
+    letters = "".join(chr(0x4E00 + i) for i in range(k))
+    images = {a: a + letters[(i + 1) % k] + letters[(i + 97) % k] for i, a in enumerate(letters)}
     m = Morphism.from_strings(letters, list(images.values()))
     path = tmp_path / "wide.txt"
     path.write_text(format_morphism_file(m), encoding="utf-8")
     for length in (26, 27, 10**4):
         expected = naive_iterate(images, letters[0], length)
         prefix = iterate_prefix(m, letters[0], length)
-        assert (max(prefix.symbols) > 255) == (length > 26)
+        assert (max(prefix.symbols) > 255) == (k == 300 and length > 26)
         assert prefix.text == expected
         assert iterate_command(path, letters[0], length) == (0, expected + "\n", "")
 

@@ -143,7 +143,7 @@ def test_word_rejects_symbols_that_are_not_ints():
     assert Word((False, True), BIN) == parse_word("01", BIN)
 
 
-# Word.text spells a word in C, one byte per symbol; the 300-letter
+# Word.text and Alphabet.spell spell in C, one byte per symbol; the 300-letter
 # alphabet has symbols past 255, which fit no byte and take the fallback.
 WIDE = Alphabet(tuple(chr(0x4E00 + i) for i in range(300)))
 SPELLED = {
@@ -166,6 +166,10 @@ def test_text_matches_letter_by_letter_spelling(alphabet):
         assert word.text == naive
         assert str(word) == naive
         assert parse_word(word.text, alphabet) == word
+        assert alphabet.spell(symbols) == naive
+        assert alphabet.spell(list(symbols)) == naive
+        if k <= 256:
+            assert alphabet.spell(bytearray(symbols)) == naive
 
 
 def test_text_matches_letter_by_letter_spelling_on_long_words():
@@ -430,28 +434,26 @@ def test_find_pattern_edge_cases():
 
 # _find_pattern_blocks takes bytes only; words whose gap or symbols fit no
 # byte are scanned one at a time by find_pattern
-@pytest.mark.parametrize("spell", [bytes], ids=["bytes"])
-def test_block_scan_sees_no_occurrence_across_a_gap(spell):
+def test_block_scan_sees_no_occurrence_across_a_gap():
     # joined without the gap, 01 01 is a square and 00 00 a cube
     for words, kind in [
         ([(0, 1), (0, 1)], PatternKind.SQUARE),
         ([(0, 0), (0, 0)], PatternKind.CUBE),
         ([(0,), (0,), (0,)], PatternKind.SQUARE),
     ]:
-        assert _find_pattern_blocks(list(map(spell, words)), 2, kind) == [], (words, kind)
+        assert _find_pattern_blocks(list(map(bytes, words)), 2, kind) == [], (words, kind)
 
 
-@pytest.mark.parametrize("spell", [bytes], ids=["bytes"])
-def test_block_scan_edge_cases(spell):
+def test_block_scan_edge_cases():
     for kind in PatternKind:
         assert _find_pattern_blocks([], 2, kind) == []
         # every block is shorter than the kind's minimal span
         short = [(0,) * (kind.min_span - 1), (1,) * (kind.min_span - 1)]
-        assert _find_pattern_blocks(list(map(spell, short)), 2, kind) == []
+        assert _find_pattern_blocks(list(map(bytes, short)), 2, kind) == []
     # one block hits at period 1, one at period 2, one not at all; the
     # pairs still come in block order
     words = [(0, 1, 0, 1), (1, 0, 1), (0, 0)]
-    assert _find_pattern_blocks(list(map(spell, words)), 2, PatternKind.SQUARE) == [
+    assert _find_pattern_blocks(list(map(bytes, words)), 2, PatternKind.SQUARE) == [
         (0, Occurrence(PatternKind.SQUARE, 0, 2)),
         (2, Occurrence(PatternKind.SQUARE, 0, 1)),
     ]
