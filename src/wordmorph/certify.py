@@ -81,42 +81,21 @@ class SearchResult:
 
 
 def _one_orbit(m: Morphism) -> bool:
-    """Whether the letter permutations commuting with m map letter 0 to every letter.
+    """Whether m is a Latin-square morphism: h(a) = sigma^a(h(0)) for every letter a.
 
-    A permutation sigma of the letters commutes with m when m(sigma(a)) =
-    sigma(m(a)) for every letter a, which needs m.source == m.target. Such a
-    sigma maps kind-free words to kind-free words and occurrences to
-    occurrences with the same start and period, so w is a counterexample in
-    either direction exactly when sigma(w) is. The permutations that commute
-    form a group; when it maps 0 to every letter, every word has a copy
-    starting with 0. Only the forward search uses it.
+    sigma is the shift a -> a + 1 mod k, and it commutes with m exactly
+    when m.source == m.target and h(a) is h(0) with every letter raised by
+    a mod k. Then sigma maps kind-free words to kind-free words and
+    occurrences to occurrences with the same start and period, so w is a
+    counterexample in either direction exactly when sigma(w) is, and
+    sigma^(-w[0])(w) is a copy of w that starts with 0. Only the forward
+    search uses it.
     """
-    if m.source != m.target:
-        return False
-    images = [im.symbols for im in m.images]
-    form = _relabelled_images(images, 0)
-    return all(_relabelled_images(images, b) == form for b in range(1, len(images)))
-
-
-def _relabelled_images(images: list[tuple[int, ...]], start: int) -> list[list[int]]:
-    # The images of the letters reachable from start, renamed by the order
-    # in which letters are first met: start first, then the new letters of
-    # each met letter's image in turn. Equal forms from every letter give
-    # every reachable set the same size. A letter reachable from a reaches a
-    # subset of a's set, so it reaches exactly that set, and the sets are
-    # disjoint blocks. Pairing the i-th met letters maps 0's block onto b's
-    # block with m(sigma(x)) = sigma(m(x)); with its inverse on b's block
-    # and the identity elsewhere it is a commuting sigma with sigma(0) = b.
-    # Conversely, a commuting sigma with sigma(0) = b maps the letters met
-    # from 0 to those met from b, in turn, so the forms are equal.
-    order = [start]
-    name = {start: 0}
-    for a in order:
-        for s in images[a]:
-            if s not in name:
-                name[s] = len(order)
-                order.append(s)
-    return [[name[s] for s in images[a]] for a in order]
+    k = len(m.source)
+    h0 = m.images[0].symbols
+    return m.source == m.target and all(
+        im.symbols == tuple([(s + a) % k for s in h0]) for a, im in enumerate(m.images)
+    )
 
 
 def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult:
@@ -125,22 +104,22 @@ def search_forward(m: Morphism, kind: PatternKind, max_len: int) -> SearchResult
     Enumeration order makes any counterexample minimal: shortest word first,
     lexicographically least among those, minimal occurrence inside its image.
 
-    Every enumerated word is counted. When the letter permutations
-    commuting with m map 0 to every letter (`_one_orbit`), only the images
-    of words starting with 0 are scanned: every other word has an earlier
-    copy starting with 0 that is a counterexample exactly when it is.
+    Every enumerated word is counted. When m commutes with the shift
+    sigma(a) = a + 1 mod k (`_one_orbit`), only the images of words
+    starting with 0 are scanned: every other word w has an earlier copy
+    sigma^(-w[0])(w) starting with 0 that is a counterexample exactly when
+    it is.
 
     Each scan skips the spans too short for an occurrence to reach from
     the image's first tile into its last. By the time w comes up, w[1:]
     and w[:-1] are kind-free (kind-free words are factor-closed), shorter,
     and their images are clean: the search stops at the first hit, and on
     the one-orbit path each of them has a copy starting with 0 whose image
-    was scanned, and a commuting permutation maps images and their
-    occurrences to each other. So every occurrence in h(w) starts inside
-    h(w[0]) and ends inside h(w[-1]), and its span is at least |h(w)| -
-    |h(w[0])| - |h(w[-1])| + 2. The bound holds for every occurrence, so
-    the first hit of the bounded scan is the minimal one; for |w| = 1 it
-    bounds nothing.
+    was scanned, and sigma^a maps images and their occurrences to each
+    other. So every occurrence in h(w) starts inside h(w[0]) and ends
+    inside h(w[-1]), and its span is at least |h(w)| - |h(w[0])| -
+    |h(w[-1])| + 2. The bound holds for every occurrence, so the first hit
+    of the bounded scan is the minimal one; for |w| = 1 it bounds nothing.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

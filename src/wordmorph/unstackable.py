@@ -118,16 +118,15 @@ def _image_witnesses(m: Morphism, words, kind: PatternKind) -> tuple[Witness, ..
     """An ImageWitness, with the minimal occurrence, for each word whose image
     contains the kind; in the order of words.
 
-    When the gap symbol, len(target), fits a byte, the images are scanned
-    together, in one words._find_pattern_blocks pass. Each word's block is its
-    letters' image symbols joined, one byte each; a hit's image Word is read
-    off its block, and images that avoid the kind are never built as Words.
-    A target of 256 letters or more leaves the gap no byte: each image is
-    then built with m.apply and scanned alone by find_pattern, which gives
-    it the same minimal occurrence.
+    Onto a target of at most 255 letters the images are scanned together,
+    in one words._find_pattern_blocks pass. Each word's block is its
+    letters' image symbols joined, one byte each below the gap byte 255; a
+    hit's image Word is read off its block, and images that avoid the kind
+    are never built as Words. Onto a larger target each image is built with
+    m.apply and scanned alone by find_pattern, which gives it the same
+    minimal occurrence.
     """
-    gap = len(m.target)
-    if gap > 255:
+    if len(m.target) > 255:
         return tuple([
             ImageWitness(w, image, occ)
             for w in words
@@ -137,7 +136,7 @@ def _image_witnesses(m: Morphism, words, kind: PatternKind) -> tuple[Witness, ..
     blocks = [b"".join([parts[s] for s in w.symbols]) for w in words]
     return tuple([
         ImageWitness(words[j], _trusted_word(tuple(blocks[j]), m.target), occ)
-        for j, occ in _find_pattern_blocks(blocks, gap, kind)
+        for j, occ in _find_pattern_blocks(blocks, kind)
     ])
 
 

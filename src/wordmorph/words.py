@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import codecs
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -66,15 +66,19 @@ class Alphabet:
     def word(self, text: str) -> Word:
         return parse_word(text, self)
 
-    def spell(self, symbols: Sequence[int]) -> str:
-        """The letters of in-range symbols, a tuple, list or bytearray of them.
+    def spell(self, symbols: Iterable[int]) -> str:
+        """The letters of in-range symbols.
 
         Spelled in C: the symbols become one byte each through `bytearray`
         (faster than `bytes` on a tuple of more than a few symbols), and
         `codecs.charmap_decode` maps byte s to letter s. Symbols past 255
         (an alphabet of more than 256 letters) fit no byte, and those are
-        spelled letter by letter instead.
+        spelled letter by letter instead. An iterator is read into a tuple
+        first, so that the fallback still sees every symbol; a tuple, list
+        or bytearray takes one conversion.
         """
+        if iter(symbols) is symbols:
+            symbols = tuple(symbols)
         try:
             symbols = bytearray(symbols)
         except ValueError:  # a symbol past 255
@@ -299,20 +303,20 @@ def find_pattern(word: Word, kind: PatternKind, *, min_span: int = 0) -> Occurre
 
 
 def _find_pattern_blocks(
-    blocks: Sequence[bytes], gap: int, kind: PatternKind
+    blocks: Sequence[bytes], kind: PatternKind
 ) -> list[tuple[int, Occurrence]]:
     """(index, find_pattern's occurrence) for each block that contains the kind.
 
-    One scan for many words: blocks hold letter symbols, one byte each, and
-    gap is a byte value in no block. They are joined into one buffer with
-    gap between them; the letter masks are built once and the periods
-    stepped once, up to the longest block. An occurrence's equal pairs cover
-    every position of its span, and no pair with a gap in it is equal, so no
-    occurrence crosses a gap. Each block therefore gets the first period that
-    has a start in it, at its leftmost such start: the minimal occurrence
+    One scan for many words: blocks hold letter symbols below 255, one byte
+    each. They are joined into one buffer with the gap byte 255 between
+    them; the letter masks are built once and the periods stepped once, up
+    to the longest block. An occurrence's equal pairs cover every position
+    of its span, and no pair with a gap in it is equal, so no occurrence
+    crosses a gap. Each block therefore gets the first period that has a
+    start in it, at its leftmost such start: the minimal occurrence
     find_pattern gives the block alone. Once a block has its occurrence, its
     starts are masked out of the later periods. Pairs come in block order.
-    Words whose gap or symbols fit no byte are scanned one at a time by
+    Words with a symbol of 255 or more are scanned one at a time by
     find_pattern instead, which has a str path for symbols past 255.
 
     find_pattern stays its own loop: a one-block batch made it about 50 %
@@ -322,10 +326,10 @@ def _find_pattern_blocks(
     if not blocks:
         return []
     # bit i of a mask is position i of the joined buffer, as in find_pattern
-    raw = bytearray(bytes((gap,)).join(blocks))
+    raw = bytearray(b"\xff".join(blocks))
     raw.reverse()
     letters = set(raw)
-    letters.discard(gap)
+    letters.discard(255)
     masks = [int(raw.translate(_ONE[c]), 2) for c in letters]
     starts = [0]  # where each block starts, then where one more would
     end = 0

@@ -271,9 +271,11 @@ def relabelled_morphism(images: list[list[int]], p) -> Morphism:
 
 @st.composite
 def latin_square_morphisms(draw, max_k=6):
-    # h(i) = sigma^i(h(0)) for the shift sigma(a) = a + 1 mod k, relabelled
-    # by a drawn permutation half of the time, so that letter 0 need not be
-    # special and the commuting permutations need not be shifts.
+    # h(i) = sigma^i(h(0)) for the shift sigma(a) = a + 1 mod k: the draws
+    # left as they are take the forward search's 0-word skip. Half of the
+    # time they are relabelled by a drawn permutation, so that letter 0 need
+    # not be special and the commuting permutations need not hold the shift,
+    # and those take the full path unless the relabelling keeps the shift.
     k = draw(st.integers(2, max_k))
     h0 = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=7))
     images = [[(x + i) % k for x in h0] for i in range(k)]
@@ -284,8 +286,11 @@ def latin_square_morphisms(draw, max_k=6):
 @st.composite
 def block_morphisms(draw):
     # Disjoint copies of small Latin-square morphisms with one image length,
-    # relabelled: one orbit when all copies are alike, often several when
-    # they differ, and letter 0 reaches only its own copy either way.
+    # relabelled: letter 0 reaches only its own copy. The shift
+    # a -> a + 1 mod k commutes with the result for every relabelling of
+    # one-letter copies, for some of alike copies (0 -> 02, 1 -> 13,
+    # 2 -> 20, 3 -> 31 is two), and otherwise not: those draws take the
+    # forward search's full path.
     size = draw(st.integers(1, 3))
     blocks = draw(st.integers(2, 6 // size))
     n = draw(st.integers(1, 3))
@@ -299,11 +304,24 @@ def block_morphisms(draw):
     return relabelled_morphism(images, draw(st.permutations(range(len(images)))))
 
 
+def assert_one_orbit_is_the_shift(m: Morphism) -> bool:
+    # _one_orbit holds exactly when the shift a -> a + 1 mod k commutes with
+    # m. On at most three letters that is when the commuting permutations
+    # map 0 to every letter: every transitive group of permutations of two
+    # or three letters holds the shift.
+    k = len(m.source)
+    commuting = all_commuting_permutations(m)
+    expected = tuple((a + 1) % k for a in range(k)) in commuting
+    assert certify_module._one_orbit(m) == expected, m
+    if k <= 3:
+        assert expected == ({sigma[0] for sigma in commuting} == set(range(k))), m
+    return expected
+
+
 @given(st.one_of(latin_square_morphisms(max_k=5), nonerasing_morphisms(), block_morphisms()))
 @settings(max_examples=100, deadline=None)
 def test_one_orbit_detector_matches_all_permutations(m):
-    orbit = {sigma[0] for sigma in all_commuting_permutations(m)}
-    assert certify_module._one_orbit(m) == (orbit == set(range(len(m.source))))
+    assert_one_orbit_is_the_shift(m)
 
 
 def uniform_morphisms(k: int, n: int):
@@ -318,11 +336,21 @@ def test_one_orbit_detector_matches_all_permutations_exhaustively():
     one_orbit = 0
     for k, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1)]:
         for m in uniform_morphisms(k, n):
-            orbit = {sigma[0] for sigma in all_commuting_permutations(m)}
-            expected = orbit == set(range(k))
-            assert certify_module._one_orbit(m) == expected, m
-            one_orbit += expected
-    assert one_orbit == 79
+            one_orbit += assert_one_orbit_is_the_shift(m)
+    assert one_orbit == 73
+
+
+# f4 with letters 1 and 2 swapped: its commuting permutations are the
+# relabelled shifts, and the shift a -> a + 1 mod 4 is not among them
+SWAPPED_F4 = Morphism.from_strings("0123", [
+    "02132130203123120",
+    "13023021312032031",
+    "21301302120310312",
+    "30210213031201203",
+])
+# two isomorphic blocks, 0, 1 and 2, 3: swapping the blocks commutes with
+# it, but the shift does not
+TWO_BLOCKS = Morphism.from_strings("0123", ["01", "10", "23", "32"])
 
 
 def test_one_orbit_detector_examples():
@@ -334,30 +362,27 @@ def test_one_orbit_detector_examples():
     assert not certify_module._one_orbit(Morphism.from_strings("012", ["01", "10", "22"]))
     # every letter maps to 1, so only the identity commutes
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["1", "1"]))
-    # only separate components: every letter is a block of its own
+    # every letter is a block of its own, and h(a) = aa is h(0) raised by a
     assert certify_module._one_orbit(Morphism.from_strings("0123", ["00", "11", "22", "33"]))
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "10"], target="10"))
     # a Latin-square morphism in which 0 reaches only 0 and 2, and 1 the
-    # isomorphic block 1, 3
+    # block 1, 3
     assert certify_module._one_orbit(Morphism.from_strings("0123", ["02", "13", "20", "31"]))
     # two blocks, 0, 1 and 2, 3, at k = 4 and n = 2: isomorphic, then of
-    # equal size but not isomorphic, then of different sizes
-    assert certify_module._one_orbit(Morphism.from_strings("0123", ["01", "10", "23", "32"]))
+    # equal size but not isomorphic, then of different sizes; the shift
+    # commutes with none of them
+    assert not certify_module._one_orbit(TWO_BLOCKS)
+    assert (2, 3, 0, 1) in all_commuting_permutations(TWO_BLOCKS)
     assert not certify_module._one_orbit(Morphism.from_strings("0123", ["01", "10", "32", "23"]))
     assert not certify_module._one_orbit(Morphism.from_strings("0123", ["01", "10", "22", "33"]))
     # image lengths differ, so no permutation moves 0
     assert not certify_module._one_orbit(Morphism.from_strings("01", ["01", "100"]))
-    # f4 with letters 1 and 2 swapped: its commuting permutations are the
-    # relabelled shifts, and the shift a -> a + 1 mod 4 is not among them
-    swapped = Morphism.from_strings("0123", [
-        "02132130203123120",
-        "13023021312032031",
-        "21301302120310312",
-        "30210213031201203",
-    ])
-    assert certify_module._one_orbit(swapped)
-    assert (1, 2, 3, 0) not in all_commuting_permutations(swapped)
-    assert search_forward(swapped, PatternKind.OVERLAP, 5).checked_by_length == {
+    # the swapped f4's commuting permutations together map 0 to every
+    # letter, but none is the shift: the counts are f4's, from the full path
+    assert not certify_module._one_orbit(SWAPPED_F4)
+    assert (1, 2, 3, 0) not in all_commuting_permutations(SWAPPED_F4)
+    assert {sigma[0] for sigma in all_commuting_permutations(SWAPPED_F4)} == {0, 1, 2, 3}
+    assert search_forward(SWAPPED_F4, PatternKind.OVERLAP, 5).checked_by_length == {
         1: 4, 2: 16, 3: 60, 4: 228, 5: 852
     }
 
@@ -430,15 +455,27 @@ def test_symmetric_forward_search_that_stops(monkeypatch, kind, depth, stop, cou
 
 
 @pytest.mark.parametrize(
-    "m",
-    [catalog("g4"), Morphism.from_strings("012", ["01", "10", "22"])],
-    ids=["g4", "swap-and-fixed-letter"],
+    "m, words",
+    [
+        (catalog("g4"), 308),
+        (Morphism.from_strings("012", ["01", "10", "22"]), 12),
+        (SWAPPED_F4, 308),
+        (TWO_BLOCKS, 308),
+    ],
+    ids=["g4", "swap-and-fixed-letter", "swapped-f4", "two-blocks"],
 )
-def test_forward_search_without_one_orbit_takes_the_full_path(monkeypatch, m):
-    # the image of every word the naive search checks is scanned
+def test_forward_search_without_one_orbit_takes_the_full_path(monkeypatch, m, words):
+    # the image of every word the naive search checks is scanned, up to its
+    # stop at 22 for the swap with a fixed letter; the swapped f4 and the
+    # two blocks commute with letter permutations that together map 0 to
+    # every letter, but not with the shift
+    naive = naive_search_forward(m, PatternKind.OVERLAP, 4)
     scans = counted_scans(monkeypatch)
     res = search_forward(m, PatternKind.OVERLAP, 4)
     assert len(scans) == res.words_checked > len(m.source)
+    assert res.checked_by_length == naive.checked_by_length
+    assert res.counterexample == naive.counterexample
+    assert res.words_checked == words
 
 
 # Kind-free words of lengths 1, 2, ...: square-free ternary words (OEIS
@@ -681,8 +718,8 @@ def test_backward_search_stops_where_a_drawn_fresh_image_scan_misses(m, kind, da
 @given(block_morphisms(), st.sampled_from(list(PatternKind)), st.data())
 @settings(max_examples=100, deadline=None)
 def test_searches_match_naive_on_block_morphisms(m, kind, data):
-    # several orbits, or one whose commuting permutations are not shifts:
-    # the forward search's letter symmetry path, and the backward search
+    # mostly copies the shift does not commute with: the forward search's
+    # full path, its 0-word skip for the others, and the backward search
     k = len(m.source)
     depth = data.draw(st.integers(kind.min_span, {2: 6, 3: 5, 4: 4}.get(k, 3)))
     assert_same_forward_search(m, kind, depth)

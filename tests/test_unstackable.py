@@ -295,9 +295,9 @@ def test_image_triple_witness_replay(m, kind):
         assert w.occurrence.matches(w.image)
 
 
-# Targets of 2-5 letters, and of 255, 256 and 300: from 256 letters on the
-# gap between the scanned images, len(target), fits no byte and each image
-# is scanned alone, and from 257 the symbols do not fit one either.
+# Targets of 2-5 letters, and of 255, 256 and 300: from 256 letters on a
+# symbol can be the batch scan's gap byte, 255, and each image is scanned
+# alone, and from 257 the symbols do not fit a byte either.
 @st.composite
 def morphisms_into_targets(draw):
     k = draw(st.integers(1, 4))
@@ -341,8 +341,8 @@ def as_triples(report) -> list:
 
 
 @given(morphisms_into_targets(), st.sampled_from([PatternKind.OVERLAP, PatternKind.SQUARE]))
-# the batch scan's widest gap, a gap past 255, and a gap and symbols past
-# 255: both sides of len(target) > 255 run on every run
+# the batch scan's widest target, symbols that reach its gap byte 255, and
+# symbols past 255: both sides of len(target) > 255 run on every run
 @example(onto_target(255), PatternKind.OVERLAP)
 @example(onto_target(256), PatternKind.SQUARE)
 @example(onto_target(300), PatternKind.OVERLAP)

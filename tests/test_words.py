@@ -168,6 +168,10 @@ def test_text_matches_letter_by_letter_spelling(alphabet):
         assert parse_word(word.text, alphabet) == word
         assert alphabet.spell(symbols) == naive
         assert alphabet.spell(list(symbols)) == naive
+        # an iterator is read whole, even when a symbol past 255 makes the
+        # byte conversion fail partway through it
+        assert alphabet.spell(iter(symbols)) == naive
+        assert alphabet.spell(s for s in symbols) == naive
         if k <= 256:
             assert alphabet.spell(bytearray(symbols)) == naive
 
@@ -432,8 +436,8 @@ def test_find_pattern_edge_cases():
     assert find_pattern(word, PatternKind.OVERLAP) is None
 
 
-# _find_pattern_blocks takes bytes only; words whose gap or symbols fit no
-# byte are scanned one at a time by find_pattern
+# _find_pattern_blocks takes bytes below its gap byte 255 only; words with a
+# symbol of 255 or more are scanned one at a time by find_pattern
 def test_block_scan_sees_no_occurrence_across_a_gap():
     # joined without the gap, 01 01 is a square and 00 00 a cube
     for words, kind in [
@@ -441,19 +445,19 @@ def test_block_scan_sees_no_occurrence_across_a_gap():
         ([(0, 0), (0, 0)], PatternKind.CUBE),
         ([(0,), (0,), (0,)], PatternKind.SQUARE),
     ]:
-        assert _find_pattern_blocks(list(map(bytes, words)), 2, kind) == [], (words, kind)
+        assert _find_pattern_blocks(list(map(bytes, words)), kind) == [], (words, kind)
 
 
 def test_block_scan_edge_cases():
     for kind in PatternKind:
-        assert _find_pattern_blocks([], 2, kind) == []
+        assert _find_pattern_blocks([], kind) == []
         # every block is shorter than the kind's minimal span
         short = [(0,) * (kind.min_span - 1), (1,) * (kind.min_span - 1)]
-        assert _find_pattern_blocks(list(map(bytes, short)), 2, kind) == []
+        assert _find_pattern_blocks(list(map(bytes, short)), kind) == []
     # one block hits at period 1, one at period 2, one not at all; the
     # pairs still come in block order
     words = [(0, 1, 0, 1), (1, 0, 1), (0, 0)]
-    assert _find_pattern_blocks(list(map(bytes, words)), 2, PatternKind.SQUARE) == [
+    assert _find_pattern_blocks(list(map(bytes, words)), PatternKind.SQUARE) == [
         (0, Occurrence(PatternKind.SQUARE, 0, 2)),
         (2, Occurrence(PatternKind.SQUARE, 0, 1)),
     ]
@@ -465,13 +469,13 @@ def test_block_scan_edge_cases():
 )
 @settings(max_examples=200, deadline=None)
 def test_block_scan_matches_naive_scan_per_block(words, kind):
-    # 254 is the largest symbol and 255 the largest gap a byte holds
+    # 254 is the largest symbol a block may hold: 255 is the gap byte
     expected = [
         (j, occ)
         for j, w in enumerate(words)
         if (occ := naive_find_pattern(Word(tuple(w), WIDE), kind)) is not None
     ]
-    assert _find_pattern_blocks(list(map(bytes, words)), 255, kind) == expected
+    assert _find_pattern_blocks(list(map(bytes, words)), kind) == expected
 
 
 def test_find_pattern_is_deterministic():
